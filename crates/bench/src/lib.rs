@@ -68,23 +68,63 @@ pub fn figure_grid() -> FigureGrid {
     }
 }
 
-/// Regenerates one gain figure (Figs. 6–9) through the parallel
-/// deterministic runner and prints the same panel tables the serial
-/// loops used to, plus a throughput line. `PDOS_BENCH_JOBS` overrides
-/// the worker count (default: one per CPU).
-pub fn run_gain_figure(fig: GainFigure) {
+/// Runs figure specs through the parallel deterministic runner.
+/// `FromScenario` pins the figures' scenario seeds, so the parallel sweep
+/// reproduces the serial tables exactly. `PDOS_BENCH_JOBS` overrides the
+/// worker count (default: one per CPU).
+pub fn run_figure_specs(specs: &[ExperimentSpec]) -> SweepReport {
     let jobs = std::env::var("PDOS_BENCH_JOBS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    let grid = figure_grid();
-    let specs = gain_figure_specs(fig, &grid);
-    // `FromScenario` pins the figures' scenario seeds, so the parallel
-    // sweep reproduces the historical serial tables exactly.
-    let report = SweepRunner::new(0)
+    SweepRunner::new(0)
         .seed_policy(SeedPolicy::FromScenario)
         .jobs(jobs)
-        .run(&specs);
+        .run(specs)
+}
+
+/// One figure curve as runner specs: `template` (a benign spec carrying
+/// the scenario and windows) attacked at each γ, with ids under the
+/// template's id.
+pub fn curve_specs(
+    template: &ExperimentSpec,
+    t_extent: f64,
+    r_attack: f64,
+    gammas: &[f64],
+) -> Vec<ExperimentSpec> {
+    gammas
+        .iter()
+        .map(|&gamma| ExperimentSpec {
+            id: format!("{}/g{gamma:.3}", template.id),
+            attack: Some(AttackPoint {
+                t_extent,
+                r_attack,
+                gamma,
+            }),
+            ..template.clone()
+        })
+        .collect()
+}
+
+/// The measured points of `records`, skipping infeasible γ values the way
+/// the serial sweeps did; any other failure aborts the bench.
+pub fn curve_points(records: &[RunRecord]) -> Vec<GainPoint> {
+    records
+        .iter()
+        .filter_map(|r| match &r.outcome {
+            RunOutcome::Point { point, .. } => Some(*point),
+            RunOutcome::Infeasible { .. } => None,
+            other => panic!("{} failed: {other:?}", r.id),
+        })
+        .collect()
+}
+
+/// Regenerates one gain figure (Figs. 6–9) through the parallel
+/// deterministic runner and prints the same panel tables the serial
+/// loops used to, plus a throughput line.
+pub fn run_gain_figure(fig: GainFigure) {
+    let grid = figure_grid();
+    let report = run_figure_specs(&gain_figure_specs(fig, &grid));
     print_gain_report(fig, &grid, &report);
 }
 
@@ -141,7 +181,7 @@ fn print_gain_report(fig: GainFigure, grid: &FigureGrid, report: &SweepReport) {
                 "  -> sweep class ({}ms, C_psi={:.3}): {}",
                 (t_extent * 1000.0) as u64,
                 c,
-                GainClass::classify_sweep(&pairs, 0.12)
+                GainClass::classify_sweep(&pairs, CLASS_MARGIN)
             );
         }
     }

@@ -14,7 +14,7 @@
 
 use crate::alloc::{self, AllocSnapshot};
 use pdos_attack::pulse::PulseTrain;
-use pdos_scenarios::experiment::GainExperiment;
+use pdos_scenarios::experiment::warm_start;
 use pdos_scenarios::runner::{AttackPoint, ExperimentSpec, SeedPolicy, SweepRunner};
 use pdos_scenarios::spec::ScenarioSpec;
 use pdos_sim::event::{Event, EventQueue};
@@ -608,10 +608,7 @@ pub fn fig06_grid_warmstart() -> WarmStartResult {
         "warm-start must be bitwise result-neutral"
     );
 
-    let checkpoint_bytes = GainExperiment::new(scenario)
-        .warmup(warmup)
-        .window(window)
-        .warm_start(None)
+    let checkpoint_bytes = warm_start(&specs[0])
         .map(|w| w.approx_bytes() as u64)
         .unwrap_or(0);
     WarmStartResult {

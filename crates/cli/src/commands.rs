@@ -15,7 +15,8 @@ use pdos_detect::spectral::SpectralDetector;
 use pdos_detect::streaming::{
     alarm_stream_json, Alarm, StreamingCusum, StreamingDetector, StreamingRate, StreamingSpectral,
 };
-use pdos_scenarios::experiment::{gamma_grid, GainExperiment};
+use pdos_scenarios::classify::{GainClass, CLASS_MARGIN};
+use pdos_scenarios::experiment::gamma_grid;
 use pdos_scenarios::figures::{
     gain_figure_specs, gain_figure_specs_cc, roc_specs, FigureGrid, GainFigure,
 };
@@ -184,6 +185,24 @@ fn queue_of(args: &Args) -> Result<BottleneckQueue, ArgError> {
     }
 }
 
+/// Reads a numeric option that sizes a duration, a rate or a bin (`None`
+/// makes it required). This is the one range check for such options:
+/// zero, negative and non-finite values are rejected here, because they
+/// would otherwise reach asserting constructors or divide by zero.
+fn positive(args: &Args, key: &str, default: Option<f64>) -> Result<f64, ArgError> {
+    let value = match default {
+        Some(d) => args.num(key, d)?,
+        None => args.require_num(key)?,
+    };
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(ArgError(format!(
+            "--{key} must be a finite positive number; got {value}"
+        )))
+    }
+}
+
 fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> {
     let mut spec = if args.flag("testbed") {
         let mut s = ScenarioSpec::testbed();
@@ -207,8 +226,8 @@ fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> 
 /// `pdos solve`.
 pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
     let flows: usize = args.num("flows", 25)?;
-    let t_extent = args.num("textent-ms", 75.0)? / 1000.0;
-    let r_attack = args.num("rattack-mbps", 30.0)? * 1e6;
+    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
     let kappa: f64 = args.num("kappa", 1.0)?;
     let risk = RiskPreference::new(kappa).map_err(ArgError)?;
     let victims = ScenarioSpec::ns2_dumbbell(flows).victims();
@@ -260,29 +279,41 @@ pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `pdos simulate`.
+/// `pdos simulate`: one attacked spec through the runner's single-point
+/// path, traced when `--trace-out` is given.
 pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     let spec = spec_of(args, 15)?;
-    let t_extent = args.num("textent-ms", 75.0)? / 1000.0;
-    let r_attack = args.num("rattack-mbps", 30.0)? * 1e6;
+    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
     let gamma: f64 = args.num("gamma", 0.3)?;
-    let window: u64 = args.num("window-s", 30)?;
-
-    let exp = GainExperiment::new(spec)
-        .warmup(SimDuration::from_secs(8))
-        .window(SimDuration::from_secs(window));
-    let baseline = exp.baseline_bytes().map_err(|e| ArgError(e.to_string()))?;
-    let trace_bin = args
-        .get("trace-out")
-        .map(|_| -> Result<SimDuration, ArgError> {
-            Ok(SimDuration::from_secs_f64(
-                args.num("bin-ms", 100.0)? / 1000.0,
-            ))
-        })
-        .transpose()?;
-    let (p, bins) = exp
-        .run_point_traced(t_extent, r_attack, gamma, baseline, trace_bin)
-        .map_err(|e| ArgError(e.to_string()))?;
+    let window = positive(args, "window-s", Some(30.0))?;
+    let mut run = ExperimentSpec::attacked(
+        "simulate",
+        spec,
+        AttackPoint {
+            t_extent,
+            r_attack,
+            gamma,
+        },
+    )
+    .warmup(SimDuration::from_secs(8))
+    .window(SimDuration::from_secs_f64(window));
+    if args.get("trace-out").is_some() {
+        let bin_ms = positive(args, "bin-ms", Some(100.0))?;
+        run = run.traced(SimDuration::from_secs_f64(bin_ms / 1000.0));
+    }
+    let record = SweepRunner::new(0)
+        .seed_policy(SeedPolicy::FromScenario)
+        .execute_one(&run);
+    let baseline = record.baseline_bytes;
+    let (p, bins) = match record.outcome {
+        RunOutcome::Point { point, trace } => (point, trace),
+        RunOutcome::Infeasible { reason } => {
+            return Err(ArgError(format!("pulse parameters: {reason}")))
+        }
+        RunOutcome::Failed { reason } => return Err(ArgError(reason)),
+        RunOutcome::Benign { .. } => unreachable!("an attacked spec measures a point"),
+    };
 
     let mut out = String::new();
     if let Some(path) = args.get("trace-out") {
@@ -300,7 +331,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(
         out,
         "baseline goodput          : {:.2} Mbps",
-        baseline as f64 * 8.0 / window as f64 / 1e6
+        baseline as f64 * 8.0 / window / 1e6
     );
     let _ = writeln!(
         out,
@@ -334,10 +365,10 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
         return cmd_sweep_figure(args);
     }
     let spec = spec_of(args, 15)?;
-    let t_extent = args.num("textent-ms", 75.0)? / 1000.0;
-    let r_attack = args.num("rattack-mbps", 30.0)? * 1e6;
+    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
     let points: usize = args.num("points", 8)?;
-    let window: u64 = args.num("window-s", 30)?;
+    let window = positive(args, "window-s", Some(30.0))?;
     let jobs: usize = args.num("jobs", 0)?;
     let shards: usize = args.num("shards", 1)?;
     if points < 2 {
@@ -347,7 +378,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     // Enumerate the grid as specs and fan it out; `FromScenario` keeps the
     // CSV identical to the historical serial loop at any worker count.
     let warmup = SimDuration::from_secs(8);
-    let window = SimDuration::from_secs(window);
+    let window = SimDuration::from_secs_f64(window);
     let specs: Vec<ExperimentSpec> = gamma_grid(0.08, 0.92, points)
         .into_iter()
         .map(|gamma| {
@@ -391,7 +422,7 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
         .iter()
         .map(|p| (p.g_analytic, p.g_sim))
         .collect();
-    let class = pdos_scenarios::classify::GainClass::classify_sweep(&pairs, 0.12);
+    let class = GainClass::classify_sweep(&pairs, CLASS_MARGIN);
     let _ = writeln!(out, "# C_psi = {c:.4}, sweep class = {class}");
     Ok(out)
 }
@@ -1172,7 +1203,7 @@ pub fn cmd_bench(args: &Args) -> Result<String, ArgError> {
 pub fn cmd_sync(args: &Args) -> Result<String, ArgError> {
     let spec = spec_of(args, 12)?;
     let t_extent_ms: u64 = args.num("textent-ms", 50)?;
-    let r_attack = args.num("rattack-mbps", 100.0)?;
+    let r_attack = positive(args, "rattack-mbps", Some(100.0))?;
     let period_s: f64 = args.num("period-s", 2.0)?;
     let window: u64 = args.num("window-s", 30)?;
     let period = SimDuration::from_secs_f64(period_s);
@@ -1209,8 +1240,8 @@ pub fn cmd_detect(args: &Args) -> Result<String, ArgError> {
     let path = args
         .get("csv")
         .ok_or_else(|| ArgError("missing required option --csv".into()))?;
-    let capacity = args.require_num::<f64>("capacity-mbps")? * 1e6;
-    let bin_ms: f64 = args.num("bin-ms", 100.0)?;
+    let capacity = positive(args, "capacity-mbps", None)? * 1e6;
+    let bin_ms = positive(args, "bin-ms", Some(100.0))?;
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let bytes = parse_trace(&text)?;
@@ -1323,12 +1354,11 @@ fn serve_alarms(bytes: &[u64], capacity_bps: f64, bin_secs: f64) -> Vec<Alarm> {
 /// The output never mentions worker counts or wall-clock, so it is
 /// byte-identical across `--jobs`.
 fn cmd_serve(args: &Args) -> Result<String, ArgError> {
-    let bin_ms: f64 = args.num("bin-ms", 100.0)?;
-    let bin_secs = bin_ms / 1000.0;
+    let bin_secs = positive(args, "bin-ms", Some(100.0))? / 1000.0;
     let mut out = String::new();
 
     let runs: Vec<(String, Vec<Alarm>)> = if let Some(path) = args.get("replay") {
-        let capacity = args.require_num::<f64>("capacity-mbps")? * 1e6;
+        let capacity = positive(args, "capacity-mbps", None)? * 1e6;
         let text = std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
         let bytes = parse_trace(&text)?;
@@ -1528,6 +1558,47 @@ mod tests {
     fn detect_reports_missing_file() {
         let e = run(&parse("detect --csv /nonexistent.csv --capacity-mbps 15")).unwrap_err();
         assert!(e.to_string().contains("cannot read"));
+    }
+
+    /// Options that size a duration, a rate or a bin are range-checked: a
+    /// degenerate value is an error naming the option, raised before any
+    /// file is written — never a panic (which aborts the release binary)
+    /// or a NaN goodput.
+    #[test]
+    fn degenerate_numeric_options_are_errors_not_panics() {
+        let trace = std::env::temp_dir().join("pdos_cli_degenerate_trace.txt");
+        std::fs::write(&trace, "1000\n2000\n3000\n4000\n").unwrap();
+        let trace = trace.to_str().expect("utf8 temp path");
+        let unwritten = std::env::temp_dir().join("pdos_cli_degenerate_out.txt");
+        let _ = std::fs::remove_file(&unwritten);
+        let out = unwritten.to_str().expect("utf8 temp path");
+        for (cmd, key) in [
+            ("simulate --textent-ms -5".to_string(), "--textent-ms"),
+            ("simulate --rattack-mbps nan".to_string(), "--rattack-mbps"),
+            (format!("simulate --trace-out {out} --bin-ms 0"), "--bin-ms"),
+            (
+                "sweep --textent-ms -5 --points 2".to_string(),
+                "--textent-ms",
+            ),
+            (
+                format!("detect --csv {trace} --capacity-mbps 15 --bin-ms 0"),
+                "--bin-ms",
+            ),
+            (
+                format!("detect --csv {trace} --capacity-mbps 0"),
+                "--capacity-mbps",
+            ),
+            (
+                format!("serve --replay {trace} --capacity-mbps 15 --bin-ms -1"),
+                "--bin-ms",
+            ),
+            ("simulate --window-s 0".to_string(), "--window-s"),
+        ] {
+            let err = run(&parse(&cmd)).expect_err(&cmd);
+            assert!(err.to_string().contains(key), "{cmd}: {err}");
+        }
+        assert!(!unwritten.exists(), "a rejected simulate wrote its trace");
+        let _ = std::fs::remove_file(trace);
     }
 
     // The simulate/sweep/sync paths run real (short) simulations; keep one

@@ -9,7 +9,8 @@
 //! * the left side is systematically worse (36–57% relative error), which
 //!   is the paper's own §4.1.2 observation — so the oracle only *bands*
 //!   the right side and merely requires finiteness on the left;
-//! * sweeps are classified with a **0.12** normal/under/over margin.
+//! * sweeps are classified with a **0.12** normal/under/over margin
+//!   ([`pdos_scenarios::classify::CLASS_MARGIN`]).
 //!
 //! CI runs the oracle on short windows (seconds, not the published 40 s)
 //! over randomized small scenarios, where goodput quantization widens the
@@ -53,7 +54,7 @@ impl ToleranceBands {
             short_window_factor: 3.0,
             within_frac: 0.8,
             hard_abs_err: 0.30,
-            class_margin: 0.12,
+            class_margin: pdos_scenarios::classify::CLASS_MARGIN,
             min_right_sample: 8,
         }
     }

@@ -10,9 +10,9 @@ use pdos_conformance::{
     compute_digests_tapped, golden, run_equivalence, run_oracle, run_shard_battery,
     EquivalenceConfig, OracleConfig, ShardBatteryConfig, GOLDEN_FILE,
 };
-use pdos_scenarios::experiment::GainExperiment;
+use pdos_scenarios::experiment::{measure_baseline, measure_point, plan_attack, warm_start};
 use pdos_scenarios::figures::{gain_figure_specs, FigureGrid, GainFigure};
-use pdos_scenarios::runner::{RunOutcome, SeedPolicy, SweepRunner};
+use pdos_scenarios::runner::{AttackPoint, ExperimentSpec, RunOutcome, SeedPolicy, SweepRunner};
 use pdos_scenarios::spec::ScenarioSpec;
 use pdos_sim::check::ViolationKind;
 use pdos_sim::link::LinkId;
@@ -407,20 +407,20 @@ proptest::proptest! {
     /// produce identical gain points, trace bins and metrics snapshots.
     #[test]
     fn prop_double_fork_is_identical(gamma_pct in 25u32..65, flows in 2usize..5) {
-        let exp = GainExperiment::new(ScenarioSpec::ns2_dumbbell(flows))
+        let spec = ExperimentSpec::benign("double-fork", ScenarioSpec::ns2_dumbbell(flows))
             .warmup(SimDuration::from_secs(2))
             .window(SimDuration::from_secs(2))
-            .metrics(true);
-        let warm = exp
-            .warm_start(Some(SimDuration::from_millis(100)))
-            .expect("warm start");
-        let gamma = f64::from(gamma_pct) / 100.0;
-        let a = exp
-            .run_point_observed_forked(exp.fork_run(&warm), 0.075, 25e6, gamma, 1_000_000)
-            .expect("first fork");
-        let b = exp
-            .run_point_observed_forked(exp.fork_run(&warm), 0.075, 25e6, gamma, 1_000_000)
-            .expect("second fork");
+            .traced(SimDuration::from_millis(100))
+            .metered();
+        let warm = warm_start(&spec).expect("warm start");
+        let attack = AttackPoint {
+            t_extent: 0.075,
+            r_attack: 25e6,
+            gamma: f64::from(gamma_pct) / 100.0,
+        };
+        let plan = plan_attack(&spec, attack).expect("feasible attack");
+        let a = measure_point(&spec, warm.fork(), plan.clone(), 1_000_000).expect("first fork");
+        let b = measure_point(&spec, warm.fork(), plan, 1_000_000).expect("second fork");
         proptest::prop_assert_eq!(a, b);
     }
 }
@@ -431,19 +431,17 @@ proptest::proptest! {
 /// checkers have to flag it.
 #[test]
 fn omitted_checkpoint_state_is_flagged_by_checkers() {
-    let exp = GainExperiment::new(ScenarioSpec::ns2_dumbbell(3))
+    let spec = ExperimentSpec::benign("omitted-state", ScenarioSpec::ns2_dumbbell(3))
         .warmup(SimDuration::from_secs(2))
         .window(SimDuration::from_secs(2))
-        .checks(true);
+        .checked();
     // A healthy checkpoint forks cleanly.
-    let warm = exp.warm_start(None).expect("warm start");
-    exp.baseline_observed_from(&warm)
-        .expect("healthy forked run must pass the checkers");
+    let warm = warm_start(&spec).expect("warm start");
+    measure_baseline(&spec, warm.fork()).expect("healthy forked run must pass the checkers");
     // The same checkpoint minus one state field must be caught.
-    let mut corrupted = exp.warm_start(None).expect("warm start");
+    let mut corrupted = warm_start(&spec).expect("warm start");
     corrupted.omit_link_stats_for_test();
-    let err = exp
-        .baseline_observed_from(&corrupted)
+    let err = measure_baseline(&spec, corrupted.fork())
         .expect_err("a checkpoint missing link state must fail the checkers");
     assert!(
         err.to_string().contains("violation"),

@@ -2,6 +2,11 @@
 
 use std::fmt;
 
+/// The gain discrepancy `|g_sim − g_analytic|` up to which a point or a
+/// sweep counts as normal-gain, for every classification the crate and
+/// the `pdos` CLI report.
+pub const CLASS_MARGIN: f64 = 0.12;
+
 /// How a simulated gain relates to the analytical prediction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GainClass {

@@ -10,15 +10,28 @@
 //! 3. report `Γ_sim = 1 − Ψ_attack/Ψ_normal`, the measured gain
 //!    `G_sim = Γ_sim·(1−γ)^κ`, and the analytical curve value at the same
 //!    γ.
+//!
+//! The protocol is a few functions of one [`ExperimentSpec`], which
+//! supplies the scenario, windows, observers, fault, shards, trace bin
+//! and κ. [`cold_start`] simulates the warm-up, or [`warm_start`]
+//! checkpoints it once and [`WarmStart::fork`] resumes it; either way the
+//! result is a [`ReadyRun`] at the attack start, which
+//! [`measure_baseline`] or [`measure_point`] (after [`plan_attack`])
+//! consumes. [`crate::runner::SweepRunner`] drives these for every sweep;
+//! [`GainExperiment`] is a serial convenience over a spec template.
 
-use crate::classify::GainClass;
+use crate::bench::{BenchCheckpoint, Testbench};
+use crate::classify::{GainClass, CLASS_MARGIN};
+use crate::runner::{AttackPoint, ExperimentSpec};
 use crate::spec::ScenarioSpec;
 use pdos_analysis::gain::{attack_gain, attack_gain_measured, RiskPreference};
 use pdos_analysis::model::{c_psi, degradation};
 use pdos_analysis::params::ParamError;
 use pdos_attack::pulse::{PulseError, PulseTrain};
 use pdos_attack::shrew::classify_shrew;
+use pdos_metrics::MetricsSnapshot;
 use pdos_sim::time::{SimDuration, SimTime};
+use pdos_sim::trace::{TraceFilter, TraceId};
 use pdos_sim::units::BitsPerSec;
 use std::error::Error;
 use std::fmt;
@@ -33,11 +46,13 @@ pub enum ExperimentError {
     /// The scenario topology failed to build.
     Build(pdos_sim::topology::BuildError),
     /// Runtime invariant checkers flagged the run (only produced when the
-    /// experiment was configured with [`GainExperiment::checks`]).
+    /// spec enables [`ExperimentSpec::checks`]).
     Invariant(String),
     /// The simulator state could not be checkpointed for warm-starting
     /// (an agent or queue discipline does not support cloning).
     Checkpoint(pdos_sim::engine::CheckpointError),
+    /// The spec's risk exponent κ is negative or not finite.
+    Risk(String),
 }
 
 impl fmt::Display for ExperimentError {
@@ -48,6 +63,7 @@ impl fmt::Display for ExperimentError {
             ExperimentError::Build(e) => write!(f, "topology: {e}"),
             ExperimentError::Invariant(s) => write!(f, "invariant violations: {s}"),
             ExperimentError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
+            ExperimentError::Risk(s) => write!(f, "risk preference: {s}"),
         }
     }
 }
@@ -58,7 +74,7 @@ impl Error for ExperimentError {
             ExperimentError::Pulse(e) => Some(e),
             ExperimentError::Model(e) => Some(e),
             ExperimentError::Build(e) => Some(e),
-            ExperimentError::Invariant(_) => None,
+            ExperimentError::Invariant(_) | ExperimentError::Risk(_) => None,
             ExperimentError::Checkpoint(e) => Some(e),
         }
     }
@@ -174,31 +190,44 @@ pub struct GainSweep {
     pub class: GainClass,
 }
 
-/// A warm-started experiment prefix: the bench checkpointed right at the
-/// end of warm-up (the attack start), plus the trace registration that was
-/// made before warm-up so forked runs keep recording into the same bins.
-///
-/// Produced by [`GainExperiment::warm_start`]; consumed (any number of
-/// times, without being moved) by [`GainExperiment::baseline_observed_from`]
-/// and [`GainExperiment::run_point_observed_from`]. Because every sweep
-/// point of a figure shares the same scenario/seed/warm-up, one `WarmStart`
-/// replaces one full warm-up simulation per point.
+/// What one measurement returns: the measured value, the bottleneck's
+/// ingress bins over the window (empty unless the spec is traced) and
+/// the run's metrics snapshot (`None` unless the spec is metered).
+pub type Measured<T> = (T, Vec<u64>, Option<MetricsSnapshot>);
+
+/// A bench at the attack start (the end of warm-up), built by
+/// [`cold_start`] or forked by [`WarmStart::fork`], plus the bottleneck
+/// trace registered before warm-up. One measurement consumes it.
+#[derive(Debug)]
+pub struct ReadyRun {
+    bench: Testbench,
+    trace: Option<(TraceId, SimDuration)>,
+}
+
+/// A [`ReadyRun`] checkpointed at the attack start. Every sweep point
+/// sharing the spec's prefix ([`ExperimentSpec::prefix_hash`]) forks it
+/// instead of simulating the warm-up again; forking neither consumes nor
+/// mutates it.
 #[derive(Debug)]
 pub struct WarmStart {
-    checkpoint: crate::bench::BenchCheckpoint,
-    trace: Option<(pdos_sim::trace::TraceId, SimDuration)>,
+    checkpoint: BenchCheckpoint,
+    trace: Option<(TraceId, SimDuration)>,
 }
 
 impl WarmStart {
+    /// Forks a fresh, independent bench ready to measure. This is the
+    /// only operation that reads the checkpoint, so callers sharing a
+    /// `WarmStart` behind a lock hold it only while forking.
+    pub fn fork(&self) -> ReadyRun {
+        ReadyRun {
+            bench: Testbench::fork(&self.checkpoint),
+            trace: self.trace,
+        }
+    }
+
     /// Rough heap footprint of the captured simulator state, in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.checkpoint.approx_bytes()
-    }
-
-    /// The trace bin width this warm start was prepared with (`None` when
-    /// untraced). Forked measurements must be asked for the same width.
-    pub fn trace_bin(&self) -> Option<SimDuration> {
-        self.trace.map(|(_, bin)| bin)
     }
 
     /// Test hook: corrupt the checkpoint by dropping the bottleneck link's
@@ -209,180 +238,286 @@ impl WarmStart {
     }
 }
 
-/// A bench forked from a [`WarmStart`] and not yet measured.
-///
-/// Forking is the only operation that needs the warm start itself, so
-/// callers sharing a `WarmStart` behind a lock can fork inside a short
-/// critical section and run the (much longer) measurement outside it.
-#[derive(Debug)]
-pub struct ForkedRun {
-    bench: crate::bench::Testbench,
-    trace: Option<(pdos_sim::trace::TraceId, SimDuration)>,
+/// The pure-math half of an attacked measurement: the pulse train, its
+/// period, the damage constant C_Ψ and the risk preference for one
+/// attack point. Planning simulates nothing.
+#[derive(Debug, Clone)]
+pub struct AttackPlan {
+    gamma: f64,
+    train: PulseTrain,
+    t_aimd: f64,
+    c_psi: f64,
+    risk: RiskPreference,
 }
 
-/// The experiment driver: a scenario plus measurement windows.
+/// Builds `spec`'s scenario, wires its observers, bottleneck trace and
+/// shards, and simulates the warm-up: the cold path to the attack start.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Build`] when the topology fails to build.
+pub fn cold_start(spec: &ExperimentSpec) -> Result<ReadyRun, ExperimentError> {
+    let mut bench = spec.scenario.build()?;
+    if spec.checks {
+        bench.sim.enable_checks();
+    }
+    if spec.metrics {
+        bench.sim.enable_metrics();
+    }
+    if spec.detect {
+        bench
+            .sim
+            .enable_tap(spec.trace_bin.unwrap_or(SimDuration::from_millis(100)));
+    }
+    let trace = spec
+        .trace_bin
+        .map(|bin| (bench.trace_bottleneck(TraceFilter::All, bin), bin));
+    if spec.shards > 1 {
+        bench.sim.enable_sharding(spec.shards);
+    }
+    bench.run_until(SimTime::ZERO + spec.warmup);
+    Ok(ReadyRun { bench, trace })
+}
+
+/// [`cold_start`], checkpointed at the attack start.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Build`] when the topology fails to build
+/// and [`ExperimentError::Checkpoint`] when the simulator holds state
+/// that cannot be captured (callers then fall back to [`cold_start`]).
+pub fn warm_start(spec: &ExperimentSpec) -> Result<WarmStart, ExperimentError> {
+    let run = cold_start(spec)?;
+    Ok(WarmStart {
+        checkpoint: run.bench.checkpoint()?,
+        trace: run.trace,
+    })
+}
+
+/// Plans `attack` against `spec`'s scenario: the pulse train, C_Ψ and κ.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Pulse`] for an infeasible pulse train
+/// (including a non-finite or non-positive width or rate),
+/// [`ExperimentError::Model`] when the analytical model rejects the
+/// parameters and [`ExperimentError::Risk`] for an invalid κ.
+pub fn plan_attack(
+    spec: &ExperimentSpec,
+    attack: AttackPoint,
+) -> Result<AttackPlan, ExperimentError> {
+    let AttackPoint {
+        t_extent,
+        r_attack,
+        gamma,
+    } = attack;
+    let train = pulse_train(t_extent, r_attack, spec.scenario.bottleneck, gamma)?;
+    let c = c_psi(&spec.scenario.victims(), t_extent, r_attack)?;
+    let risk = RiskPreference::new(spec.kappa).map_err(ExperimentError::Risk)?;
+    Ok(AttackPlan {
+        gamma,
+        t_aimd: train.period().as_secs_f64(),
+        train,
+        c_psi: c,
+        risk,
+    })
+}
+
+/// Measures the no-attack window on a bench at the attack start.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Invariant`] when the spec is checked and
+/// the run trips a checker.
+pub fn measure_baseline(
+    spec: &ExperimentSpec,
+    run: ReadyRun,
+) -> Result<Measured<u64>, ExperimentError> {
+    let ReadyRun { mut bench, trace } = run;
+    inject_fault(spec.fault, &mut bench);
+    let before = bench.goodput_bytes();
+    bench.run_until(SimTime::ZERO + spec.warmup + spec.window);
+    audit(spec, &bench)?;
+    let bytes = bench.goodput_bytes() - before;
+    let bins = window_bins(spec, &bench, trace);
+    Ok((bytes, bins, bench.metrics_snapshot()))
+}
+
+/// Attaches `plan`'s pulse train at the attack start and measures the
+/// window against `baseline_bytes`. The attack is attached *after*
+/// warm-up, so cold and forked runs execute the exact same events.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError::Invariant`] when the spec is checked and
+/// the run trips a checker.
+pub fn measure_point(
+    spec: &ExperimentSpec,
+    run: ReadyRun,
+    plan: AttackPlan,
+    baseline_bytes: u64,
+) -> Result<Measured<GainPoint>, ExperimentError> {
+    let ReadyRun { mut bench, trace } = run;
+    let AttackPlan {
+        gamma,
+        train,
+        t_aimd,
+        c_psi: c,
+        risk,
+    } = plan;
+    inject_fault(spec.fault, &mut bench);
+    bench.attach_pulse_attack(train, SimTime::ZERO + spec.warmup, None);
+    let before = bench.goodput_bytes();
+    let fr_before = bench.total_fast_recoveries();
+    let to_before = bench.total_timeouts();
+    bench.run_until(SimTime::ZERO + spec.warmup + spec.window);
+    audit(spec, &bench)?;
+    let attacked = bench.goodput_bytes() - before;
+
+    let degradation_sim = if baseline_bytes == 0 {
+        0.0
+    } else {
+        (1.0 - attacked as f64 / baseline_bytes as f64).clamp(0.0, 1.0)
+    };
+    let g_analytic = attack_gain(gamma, c, risk);
+    let g_sim = attack_gain_measured(gamma, degradation_sim, risk);
+    let point = GainPoint {
+        gamma,
+        t_aimd,
+        g_analytic,
+        g_sim,
+        degradation_analytic: degradation(gamma, c),
+        degradation_sim,
+        timeouts: bench.total_timeouts() - to_before,
+        fast_recoveries: bench.total_fast_recoveries() - fr_before,
+        shrew: classify_shrew(
+            SimDuration::from_secs_f64(t_aimd),
+            spec.scenario.tcp.min_rto,
+            5,
+            0.05,
+        ),
+        class: GainClass::classify(g_analytic, g_sim, CLASS_MARGIN),
+    };
+    let bins = window_bins(spec, &bench, trace);
+    Ok((point, bins, bench.metrics_snapshot()))
+}
+
+/// [`PulseTrain::from_gamma`] over raw seconds and bits per second. A
+/// non-finite or non-positive width or rate is rejected here, before the
+/// asserting unit constructors could panic on it.
+fn pulse_train(
+    t_extent: f64,
+    r_attack: f64,
+    bottleneck: BitsPerSec,
+    gamma: f64,
+) -> Result<PulseTrain, PulseError> {
+    if !(t_extent.is_finite() && t_extent > 0.0) {
+        return Err(PulseError::ZeroExtent);
+    }
+    if !(r_attack.is_finite() && r_attack > 0.0) {
+        return Err(PulseError::ZeroRate);
+    }
+    PulseTrain::from_gamma(
+        SimDuration::from_secs_f64(t_extent),
+        BitsPerSec::from_bps(r_attack),
+        bottleneck,
+        gamma,
+    )
+}
+
+/// Applies `fault` to a bench about to be measured. Runs after forking,
+/// so a shared [`WarmStart`] is never corrupted.
+fn inject_fault(fault: Option<SeededFault>, bench: &mut Testbench) {
+    let Some(fault) = fault else { return };
+    match fault {
+        SeededFault::LinkAccounting => {
+            let link = bench.bottleneck;
+            bench
+                .sim
+                .link_mut_for_test(link)
+                .corrupt_accounting_for_test();
+        }
+        SeededFault::OmitLinkStats => {
+            let link = bench.bottleneck;
+            bench.sim.link_mut_for_test(link).reset_stats_for_test();
+        }
+        SeededFault::CubicWindow => {
+            // A finite overshoot would be repaired by the sender's own
+            // clamp at the next ACK; NaN persists through the clamp and
+            // every growth rule, so the end-of-run audit is guaranteed
+            // to see it.
+            bench.corrupt_sender_cwnd_for_test(0, f64::NAN);
+        }
+        // Detector-layer fault: nothing to corrupt in the bench.
+        SeededFault::CusumDrift => {}
+        SeededFault::ShardSkew => {
+            // Refused (returns false) on an unsharded engine; the drill
+            // is then a no-op, exactly like CusumDrift.
+            let _ = bench.sim.arm_shard_skew_for_test();
+        }
+    }
+}
+
+fn audit(spec: &ExperimentSpec, bench: &Testbench) -> Result<(), ExperimentError> {
+    if !spec.checks {
+        return Ok(());
+    }
+    let violations = bench.audit_violations();
+    if violations.is_empty() {
+        return Ok(());
+    }
+    let shown: Vec<String> = violations.iter().take(4).map(|v| v.to_string()).collect();
+    let mut msg = format!("{} violation(s): {}", violations.len(), shown.join("; "));
+    if violations.len() > shown.len() {
+        msg.push_str("; ...");
+    }
+    Err(ExperimentError::Invariant(msg))
+}
+
+/// The recorded trace bins restricted to the measurement window (the
+/// warm-up prefix is sliced off).
+fn window_bins(
+    spec: &ExperimentSpec,
+    bench: &Testbench,
+    trace: Option<(TraceId, SimDuration)>,
+) -> Vec<u64> {
+    trace
+        .map(|(id, bin)| {
+            let trace = bench.sim.trace(id);
+            let first = (spec.warmup.as_nanos() / bin.as_nanos()) as usize;
+            trace.bytes_per_bin()[first.min(trace.n_bins())..].to_vec()
+        })
+        .unwrap_or_default()
+}
+
+/// The protocol's serial convenience: a scenario plus measurement
+/// windows, run cold, one point at a time. Sweeps that need fan-out,
+/// warm starts, observers or faults go through
+/// [`crate::runner::SweepRunner`] with [`ExperimentSpec`]s instead.
 #[derive(Debug, Clone)]
 pub struct GainExperiment {
-    spec: ScenarioSpec,
-    warmup: SimDuration,
-    window: SimDuration,
-    risk: RiskPreference,
-    class_margin: f64,
-    checks: bool,
-    metrics: bool,
-    detect: bool,
-    fault: Option<SeededFault>,
-    shards: usize,
+    template: ExperimentSpec,
 }
 
 impl GainExperiment {
-    /// Creates a driver with the paper's defaults: 10 s warm-up, 60 s
+    /// Creates an experiment with the paper's defaults: 10 s warm-up, 60 s
     /// measurement window, risk-neutral gain (the figures' κ = 1).
     pub fn new(spec: ScenarioSpec) -> Self {
         GainExperiment {
-            spec,
-            warmup: SimDuration::from_secs(10),
-            window: SimDuration::from_secs(60),
-            risk: RiskPreference::NEUTRAL,
-            class_margin: 0.12,
-            checks: false,
-            metrics: false,
-            detect: false,
-            fault: None,
-            shards: 1,
+            template: ExperimentSpec::benign("gain-experiment", spec),
         }
     }
 
     /// Overrides the warm-up length.
     pub fn warmup(mut self, warmup: SimDuration) -> Self {
-        self.warmup = warmup;
+        self.template.warmup = warmup;
         self
     }
 
     /// Overrides the measurement window.
     pub fn window(mut self, window: SimDuration) -> Self {
-        self.window = window;
+        self.template.window = window;
         self
-    }
-
-    /// Overrides the risk preference used to fold degradation into gain.
-    pub fn risk(mut self, risk: RiskPreference) -> Self {
-        self.risk = risk;
-        self
-    }
-
-    /// Overrides the normal/under/over classification margin.
-    pub fn class_margin(mut self, margin: f64) -> Self {
-        self.class_margin = margin;
-        self
-    }
-
-    /// Enables the simulator's runtime invariant checkers for every run
-    /// this experiment performs. A run that trips any checker — or whose
-    /// victim TCP senders end in an inconsistent state — fails with
-    /// [`ExperimentError::Invariant`] instead of returning data.
-    pub fn checks(mut self, enabled: bool) -> Self {
-        self.checks = enabled;
-        self
-    }
-
-    /// Enables the metrics registry for every run this experiment
-    /// performs: the `*_observed` variants then return a merged
-    /// per-link/per-flow [`pdos_metrics::MetricsSnapshot`]. Metrics are
-    /// read-only observers — enabling them never changes measured
-    /// goodput, traces, or gains.
-    pub fn metrics(mut self, enabled: bool) -> Self {
-        self.metrics = enabled;
-        self
-    }
-
-    /// Enables the engine's per-link detector tap for every run this
-    /// experiment performs (the streaming-detector feed; see
-    /// [`pdos_sim::tap::DetectorTap`]). The tap bins at the run's trace
-    /// width when one is requested, else at the detectors' 100 ms
-    /// default. Taps are read-only observers — enabling them never
-    /// changes measured goodput, traces, or gains.
-    pub fn detect(mut self, enabled: bool) -> Self {
-        self.detect = enabled;
-        self
-    }
-
-    /// Injects `fault` into the measurement phase of every run this
-    /// experiment performs (see [`SeededFault`]). `None` clears it.
-    pub fn fault(mut self, fault: Option<SeededFault>) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Runs every simulation of this experiment on a sharded engine:
-    /// the bench asks [`pdos_sim::engine::Simulator::enable_sharding`]
-    /// for `shards` conservative-lookahead shards right after the
-    /// observers are wired (the engine may effect fewer, or fall back
-    /// to one, when the topology resists cutting). Sharding is
-    /// bit-identical to the legacy engine by contract, so — like
-    /// checks/metrics/detect — this is a pure wall-clock knob that
-    /// never changes measured goodput, traces, or gains.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Applies the configured fault to a bench about to be measured. Runs
-    /// after forking, so a shared [`WarmStart`] is never corrupted.
-    fn inject_fault(&self, bench: &mut crate::bench::Testbench) {
-        let Some(fault) = self.fault else { return };
-        match fault {
-            SeededFault::LinkAccounting => {
-                let link = bench.bottleneck;
-                bench
-                    .sim
-                    .link_mut_for_test(link)
-                    .corrupt_accounting_for_test();
-            }
-            SeededFault::OmitLinkStats => {
-                let link = bench.bottleneck;
-                bench.sim.link_mut_for_test(link).reset_stats_for_test();
-            }
-            SeededFault::CubicWindow => {
-                // A finite overshoot would be repaired by the sender's
-                // own clamp at the next ACK; NaN persists through the
-                // clamp and every growth rule, so the end-of-run audit
-                // is guaranteed to see it.
-                bench.corrupt_sender_cwnd_for_test(0, f64::NAN);
-            }
-            // Detector-layer fault: nothing to corrupt in the bench.
-            SeededFault::CusumDrift => {}
-            SeededFault::ShardSkew => {
-                // Refused (returns false) on an unsharded engine; the
-                // drill is then a no-op, exactly like CusumDrift.
-                let _ = bench.sim.arm_shard_skew_for_test();
-            }
-        }
-    }
-
-    fn audit(&self, bench: &crate::bench::Testbench) -> Result<(), ExperimentError> {
-        if !self.checks {
-            return Ok(());
-        }
-        let violations = bench.audit_violations();
-        if violations.is_empty() {
-            return Ok(());
-        }
-        let shown: Vec<String> = violations.iter().take(4).map(|v| v.to_string()).collect();
-        let mut msg = format!("{} violation(s): {}", violations.len(), shown.join("; "));
-        if violations.len() > shown.len() {
-            msg.push_str("; ...");
-        }
-        Err(ExperimentError::Invariant(msg))
-    }
-
-    /// The scenario under test.
-    pub fn spec(&self) -> &ScenarioSpec {
-        &self.spec
-    }
-
-    fn end(&self) -> SimTime {
-        SimTime::ZERO + self.warmup + self.window
     }
 
     /// Measures the no-attack aggregate goodput over the window.
@@ -391,162 +526,8 @@ impl GainExperiment {
     ///
     /// Returns [`ExperimentError::Build`] when the topology fails to build.
     pub fn baseline_bytes(&self) -> Result<u64, ExperimentError> {
-        Ok(self.baseline_traced(None)?.0)
-    }
-
-    /// Like [`GainExperiment::baseline_bytes`], but optionally records the
-    /// bottleneck's incoming-traffic bins over the measurement window —
-    /// the benign-trace source for detector ROC studies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Build`] when the topology fails to build.
-    pub fn baseline_traced(
-        &self,
-        trace_bin: Option<SimDuration>,
-    ) -> Result<(u64, Vec<u64>), ExperimentError> {
-        let (bytes, bins, _) = self.baseline_observed(trace_bin)?;
-        Ok((bytes, bins))
-    }
-
-    /// Like [`GainExperiment::baseline_traced`], additionally returning
-    /// the run's metrics snapshot when [`GainExperiment::metrics`] is
-    /// enabled (`None` otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Build`] when the topology fails to build.
-    pub fn baseline_observed(
-        &self,
-        trace_bin: Option<SimDuration>,
-    ) -> Result<(u64, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        let (mut bench, trace) = self.prepare(trace_bin)?;
-        bench.run_until(SimTime::ZERO + self.warmup);
-        self.measure_baseline(bench, trace)
-    }
-
-    /// Like [`GainExperiment::baseline_observed`], but resuming from a
-    /// [`WarmStart`] instead of simulating the warm-up again. Produces
-    /// byte-identical results to the cold variant called with
-    /// [`WarmStart::trace_bin`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Invariant`] when checks are enabled and
-    /// the forked run trips a checker.
-    pub fn baseline_observed_from(
-        &self,
-        warm: &WarmStart,
-    ) -> Result<(u64, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        self.baseline_observed_forked(self.fork_run(warm))
-    }
-
-    /// Forks `warm` into a fresh, independent bench ready to measure.
-    /// This is the only warm-start operation that touches the shared
-    /// checkpoint, so it is cheap to serialize behind a lock.
-    pub fn fork_run(&self, warm: &WarmStart) -> ForkedRun {
-        ForkedRun {
-            bench: crate::bench::Testbench::fork(&warm.checkpoint),
-            trace: warm.trace,
-        }
-    }
-
-    /// Measures the no-attack window on a previously forked bench.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Invariant`] when checks are enabled and
-    /// the forked run trips a checker.
-    pub fn baseline_observed_forked(
-        &self,
-        run: ForkedRun,
-    ) -> Result<(u64, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        self.measure_baseline(run.bench, run.trace)
-    }
-
-    /// Simulates the shared prefix of every run of this experiment — build,
-    /// observer wiring, trace registration, warm-up — and checkpoints the
-    /// bench right at the attack start.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError::Build`] when the topology fails to build
-    /// and [`ExperimentError::Checkpoint`] when the simulator holds state
-    /// that cannot be captured (callers should fall back to cold runs).
-    pub fn warm_start(&self, trace_bin: Option<SimDuration>) -> Result<WarmStart, ExperimentError> {
-        let (mut bench, trace) = self.prepare(trace_bin)?;
-        bench.run_until(SimTime::ZERO + self.warmup);
-        let checkpoint = bench.checkpoint()?;
-        Ok(WarmStart { checkpoint, trace })
-    }
-
-    /// Builds the bench and wires up everything that must exist before
-    /// warm-up: checkers, metrics, and the bottleneck trace.
-    fn prepare(
-        &self,
-        trace_bin: Option<SimDuration>,
-    ) -> Result<
-        (
-            crate::bench::Testbench,
-            Option<(pdos_sim::trace::TraceId, SimDuration)>,
-        ),
-        ExperimentError,
-    > {
-        let mut bench = self.spec.build()?;
-        if self.checks {
-            bench.sim.enable_checks();
-        }
-        if self.metrics {
-            bench.sim.enable_metrics();
-        }
-        if self.detect {
-            bench
-                .sim
-                .enable_tap(trace_bin.unwrap_or(SimDuration::from_millis(100)));
-        }
-        let trace = trace_bin.map(|bin| {
-            (
-                bench.trace_bottleneck(pdos_sim::trace::TraceFilter::All, bin),
-                bin,
-            )
-        });
-        if self.shards > 1 {
-            bench.sim.enable_sharding(self.shards);
-        }
-        Ok((bench, trace))
-    }
-
-    /// The recorded trace bins restricted to the measurement window (the
-    /// warm-up prefix is sliced off).
-    fn window_bins(
-        &self,
-        bench: &crate::bench::Testbench,
-        trace: Option<(pdos_sim::trace::TraceId, SimDuration)>,
-    ) -> Vec<u64> {
-        trace
-            .map(|(id, bin)| {
-                let first = (self.warmup.as_nanos() / bin.as_nanos()) as usize;
-                bench.sim.trace(id).bytes_per_bin()[first.min(bench.sim.trace(id).n_bins())..]
-                    .to_vec()
-            })
-            .unwrap_or_default()
-    }
-
-    /// Measures the no-attack window on a bench that has already reached
-    /// the end of warm-up (cold or forked).
-    fn measure_baseline(
-        &self,
-        mut bench: crate::bench::Testbench,
-        trace: Option<(pdos_sim::trace::TraceId, SimDuration)>,
-    ) -> Result<(u64, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        self.inject_fault(&mut bench);
-        let before = bench.goodput_bytes();
-        bench.run_until(self.end());
-        self.audit(&bench)?;
-        let bytes = bench.goodput_bytes() - before;
-        let bins = self.window_bins(&bench, trace);
-        let snapshot = bench.metrics_snapshot();
-        Ok((bytes, bins, snapshot))
+        let run = cold_start(&self.template)?;
+        Ok(measure_baseline(&self.template, run)?.0)
     }
 
     /// Runs one attacked point given a precomputed baseline.
@@ -562,178 +543,14 @@ impl GainExperiment {
         gamma: f64,
         baseline_bytes: u64,
     ) -> Result<GainPoint, ExperimentError> {
-        Ok(self
-            .run_point_traced(t_extent, r_attack, gamma, baseline_bytes, None)?
-            .0)
-    }
-
-    /// Like [`GainExperiment::run_point`], but optionally records the
-    /// bottleneck's incoming-traffic bins (width `trace_bin`) over the
-    /// measurement window and returns them alongside the point — the raw
-    /// series detector tooling consumes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for infeasible pulse/model parameters
-    /// or build failures.
-    pub fn run_point_traced(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-        baseline_bytes: u64,
-        trace_bin: Option<SimDuration>,
-    ) -> Result<(GainPoint, Vec<u64>), ExperimentError> {
-        let (point, bins, _) =
-            self.run_point_observed(t_extent, r_attack, gamma, baseline_bytes, trace_bin)?;
-        Ok((point, bins))
-    }
-
-    /// Like [`GainExperiment::run_point_traced`], additionally returning
-    /// the run's metrics snapshot when [`GainExperiment::metrics`] is
-    /// enabled (`None` otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for infeasible pulse/model parameters
-    /// or build failures.
-    pub fn run_point_observed(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-        baseline_bytes: u64,
-        trace_bin: Option<SimDuration>,
-    ) -> Result<(GainPoint, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        let (train, t_aimd, c) = self.plan_train(t_extent, r_attack, gamma)?;
-        let (mut bench, trace) = self.prepare(trace_bin)?;
-        bench.run_until(SimTime::ZERO + self.warmup);
-        self.measure_point(bench, trace, train, t_aimd, c, gamma, baseline_bytes)
-    }
-
-    /// Like [`GainExperiment::run_point_observed`], but resuming from a
-    /// [`WarmStart`] instead of simulating the warm-up again. Produces
-    /// byte-identical results to the cold variant called with
-    /// [`WarmStart::trace_bin`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for infeasible pulse/model parameters
-    /// or invariant violations in the forked run.
-    pub fn run_point_observed_from(
-        &self,
-        warm: &WarmStart,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-        baseline_bytes: u64,
-    ) -> Result<(GainPoint, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        self.run_point_observed_forked(
-            self.fork_run(warm),
+        let attack = AttackPoint {
             t_extent,
             r_attack,
             gamma,
-            baseline_bytes,
-        )
-    }
-
-    /// Like [`GainExperiment::run_point_observed_from`], but consuming a
-    /// previously forked bench.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExperimentError`] for infeasible pulse/model parameters
-    /// or invariant violations in the forked run.
-    pub fn run_point_observed_forked(
-        &self,
-        run: ForkedRun,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-        baseline_bytes: u64,
-    ) -> Result<(GainPoint, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        let (train, t_aimd, c) = self.plan_train(t_extent, r_attack, gamma)?;
-        self.measure_point(
-            run.bench,
-            run.trace,
-            train,
-            t_aimd,
-            c,
-            gamma,
-            baseline_bytes,
-        )
-    }
-
-    /// Derives the pulse train and the analytic damage constant for one
-    /// sweep point — pure math, shared by cold and forked runs.
-    fn plan_train(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-    ) -> Result<(PulseTrain, f64, f64), ExperimentError> {
-        let train = PulseTrain::from_gamma(
-            SimDuration::from_secs_f64(t_extent),
-            BitsPerSec::from_bps(r_attack),
-            self.spec.bottleneck,
-            gamma,
-        )?;
-        let t_aimd = train.period().as_secs_f64();
-        let c = c_psi(&self.spec.victims(), t_extent, r_attack)?;
-        Ok((train, t_aimd, c))
-    }
-
-    /// Attaches the attack and measures the window on a bench that has
-    /// already reached the end of warm-up (cold or forked). The attack is
-    /// attached *after* warm-up so cold and forked runs execute the exact
-    /// same event sequence.
-    #[allow(clippy::too_many_arguments)]
-    fn measure_point(
-        &self,
-        mut bench: crate::bench::Testbench,
-        trace: Option<(pdos_sim::trace::TraceId, SimDuration)>,
-        train: PulseTrain,
-        t_aimd: f64,
-        c: f64,
-        gamma: f64,
-        baseline_bytes: u64,
-    ) -> Result<(GainPoint, Vec<u64>, Option<pdos_metrics::MetricsSnapshot>), ExperimentError> {
-        self.inject_fault(&mut bench);
-        bench.attach_pulse_attack(train, SimTime::ZERO + self.warmup, None);
-        let before = bench.goodput_bytes();
-        let fr_before = bench.total_fast_recoveries();
-        let to_before = bench.total_timeouts();
-        bench.run_until(self.end());
-        self.audit(&bench)?;
-        let attacked = bench.goodput_bytes() - before;
-
-        let degradation_sim = if baseline_bytes == 0 {
-            0.0
-        } else {
-            (1.0 - attacked as f64 / baseline_bytes as f64).clamp(0.0, 1.0)
         };
-        let g_analytic = attack_gain(gamma, c, self.risk);
-        let g_sim = attack_gain_measured(gamma, degradation_sim, self.risk);
-        let bins = self.window_bins(&bench, trace);
-        let point = GainPoint {
-            gamma,
-            t_aimd,
-            g_analytic,
-            g_sim,
-            degradation_analytic: degradation(gamma, c),
-            degradation_sim,
-            timeouts: bench.total_timeouts() - to_before,
-            fast_recoveries: bench.total_fast_recoveries() - fr_before,
-            shrew: classify_shrew(
-                SimDuration::from_secs_f64(t_aimd),
-                self.spec.tcp.min_rto,
-                5,
-                0.05,
-            ),
-            class: GainClass::classify(g_analytic, g_sim, self.class_margin),
-        };
-        let snapshot = bench.metrics_snapshot();
-        Ok((point, bins, snapshot))
+        let plan = plan_attack(&self.template, attack)?;
+        let run = cold_start(&self.template)?;
+        Ok(measure_point(&self.template, run, plan, baseline_bytes)?.0)
     }
 
     /// Runs a full γ sweep (one figure curve): baseline once, then one
@@ -751,26 +568,7 @@ impl GainExperiment {
         gammas: &[f64],
     ) -> Result<GainSweep, ExperimentError> {
         let baseline = self.baseline_bytes()?;
-        self.sweep_with_baseline(t_extent, r_attack, gammas, baseline)
-    }
-
-    /// Like [`GainExperiment::sweep`] but reuses a baseline measured
-    /// earlier — the baseline depends only on the scenario, so one figure
-    /// panel's curves (different `T_extent` at the same topology) can
-    /// share it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first hard error (build/model); pulse-infeasibility is
-    /// tolerated per point.
-    pub fn sweep_with_baseline(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gammas: &[f64],
-        baseline: u64,
-    ) -> Result<GainSweep, ExperimentError> {
-        let c = c_psi(&self.spec.victims(), t_extent, r_attack)?;
+        let c = c_psi(&self.template.scenario.victims(), t_extent, r_attack)?;
         let mut points = Vec::with_capacity(gammas.len());
         for &gamma in gammas {
             match self.run_point(t_extent, r_attack, gamma, baseline) {
@@ -785,134 +583,7 @@ impl GainExperiment {
             r_attack,
             c_psi: c,
             baseline_bytes: baseline,
-            class: GainClass::classify_sweep(&pairs, self.class_margin),
-            points,
-        })
-    }
-}
-
-/// Mean and sample standard deviation of a measured quantity across
-/// seeds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeedStats {
-    /// Mean across seeds.
-    pub mean: f64,
-    /// Sample standard deviation (0 for a single seed).
-    pub sd: f64,
-    /// Number of seeds.
-    pub n: usize,
-}
-
-impl SeedStats {
-    fn from_samples(xs: &[f64]) -> SeedStats {
-        let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n.max(1) as f64;
-        let sd = if n > 1 {
-            (xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
-        SeedStats { mean, sd, n }
-    }
-}
-
-impl GainExperiment {
-    /// Runs one parameter point across several RNG seeds (each with its
-    /// own baseline) and reports the mean ± sd of the measured gain and
-    /// degradation — the error bars missing from single-seed sweeps.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first hard error from any seed's run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `seeds` is empty.
-    pub fn run_point_seeds(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gamma: f64,
-        seeds: &[u64],
-    ) -> Result<(SeedStats, SeedStats), ExperimentError> {
-        assert!(!seeds.is_empty(), "need at least one seed");
-        let results: Vec<Result<GainPoint, ExperimentError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = seeds
-                .iter()
-                .map(|&seed| {
-                    scope.spawn(move || {
-                        let mut spec = self.spec.clone();
-                        spec.seed = seed;
-                        let exp = GainExperiment {
-                            spec,
-                            ..self.clone()
-                        };
-                        let baseline = exp.baseline_bytes()?;
-                        exp.run_point(t_extent, r_attack, gamma, baseline)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("seed worker panicked"))
-                .collect()
-        });
-        let mut gains = Vec::with_capacity(seeds.len());
-        let mut degs = Vec::with_capacity(seeds.len());
-        for r in results {
-            let p = r?;
-            gains.push(p.g_sim);
-            degs.push(p.degradation_sim);
-        }
-        Ok((
-            SeedStats::from_samples(&gains),
-            SeedStats::from_samples(&degs),
-        ))
-    }
-
-    /// Like [`GainExperiment::sweep_with_baseline`] but runs the attacked
-    /// points on worker threads (one fresh simulator per point, so the
-    /// runs stay deterministic and independent).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first hard error; pulse-infeasible γ values are
-    /// skipped, like the serial version.
-    pub fn sweep_parallel(
-        &self,
-        t_extent: f64,
-        r_attack: f64,
-        gammas: &[f64],
-        baseline: u64,
-    ) -> Result<GainSweep, ExperimentError> {
-        let c = c_psi(&self.spec.victims(), t_extent, r_attack)?;
-        let results: Vec<Result<GainPoint, ExperimentError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = gammas
-                .iter()
-                .map(|&gamma| {
-                    scope.spawn(move || self.run_point(t_extent, r_attack, gamma, baseline))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep worker panicked"))
-                .collect()
-        });
-        let mut points = Vec::with_capacity(gammas.len());
-        for r in results {
-            match r {
-                Ok(p) => points.push(p),
-                Err(ExperimentError::Pulse(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let pairs: Vec<(f64, f64)> = points.iter().map(|p| (p.g_analytic, p.g_sim)).collect();
-        Ok(GainSweep {
-            t_extent,
-            r_attack,
-            c_psi: c,
-            baseline_bytes: baseline,
-            class: GainClass::classify_sweep(&pairs, self.class_margin),
+            class: GainClass::classify_sweep(&pairs, CLASS_MARGIN),
             points,
         })
     }
@@ -933,9 +604,9 @@ pub fn optimal_pulse_train(
     risk: RiskPreference,
 ) -> Result<PulseTrain, ExperimentError> {
     let sol = pdos_analysis::optimize::solve(&spec.victims(), t_extent, r_attack, risk)?;
-    Ok(PulseTrain::from_gamma(
-        SimDuration::from_secs_f64(t_extent),
-        BitsPerSec::from_bps(r_attack),
+    Ok(pulse_train(
+        t_extent,
+        r_attack,
         spec.bottleneck,
         sol.gamma_star,
     )?)
@@ -959,6 +630,30 @@ mod tests {
         GainExperiment::new(ScenarioSpec::ns2_dumbbell(n_flows))
             .warmup(SimDuration::from_secs(5))
             .window(SimDuration::from_secs(15))
+    }
+
+    /// The 3-flow, 5 s + 8 s spec the observer, fault and shard tests
+    /// vary through its flags.
+    fn quick_spec() -> ExperimentSpec {
+        ExperimentSpec::benign("quick", ScenarioSpec::ns2_dumbbell(3))
+            .warmup(SimDuration::from_secs(5))
+            .window(SimDuration::from_secs(8))
+    }
+
+    /// 100 ms pulses at 30 Mbps, γ = 0.4: an attack that always bites.
+    const STRONG: AttackPoint = AttackPoint {
+        t_extent: 0.1,
+        r_attack: 30e6,
+        gamma: 0.4,
+    };
+
+    fn baseline(spec: &ExperimentSpec) -> Result<Measured<u64>, ExperimentError> {
+        measure_baseline(spec, cold_start(spec)?)
+    }
+
+    fn point(spec: &ExperimentSpec, baseline: u64) -> Result<Measured<GainPoint>, ExperimentError> {
+        let plan = plan_attack(spec, STRONG)?;
+        measure_point(spec, cold_start(spec)?, plan, baseline)
     }
 
     #[test]
@@ -1022,25 +717,27 @@ mod tests {
     }
 
     #[test]
+    fn invalid_kappa_is_a_planning_error() {
+        let mut spec = quick_spec();
+        spec.kappa = -1.0;
+        let err = plan_attack(&spec, STRONG).unwrap_err();
+        assert!(matches!(err, ExperimentError::Risk(_)), "got {err:?}");
+    }
+
+    #[test]
     fn traced_point_returns_window_bins() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = exp.baseline_bytes().unwrap();
-        let (point, bins) = exp
-            .run_point_traced(
-                0.1,
-                30e6,
-                0.4,
-                baseline,
-                Some(SimDuration::from_millis(100)),
-            )
-            .unwrap();
-        assert!(point.degradation_sim > 0.0);
+        let spec = quick_spec();
+        let base = baseline(&spec).unwrap().0;
+        let (p, bins, _) =
+            point(&spec.clone().traced(SimDuration::from_millis(100)), base).unwrap();
+        assert!(p.degradation_sim > 0.0);
         // 8 s window at 100 ms bins = ~80 bins of the measurement window.
         assert!((70..=85).contains(&bins.len()), "got {} bins", bins.len());
         assert!(bins.iter().sum::<u64>() > 0);
-        // The untraced variant returns the same point.
-        let plain = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-        assert_eq!(plain, point);
+        // The untraced spec measures the same point and no bins.
+        let (plain, no_bins, _) = point(&spec, base).unwrap();
+        assert_eq!(plain, p);
+        assert!(no_bins.is_empty());
     }
 
     #[test]
@@ -1055,56 +752,22 @@ mod tests {
     }
 
     #[test]
-    fn multi_seed_point_reports_spread() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let (gain, deg) = exp.run_point_seeds(0.1, 30e6, 0.4, &[1, 2, 3]).unwrap();
-        assert_eq!(gain.n, 3);
-        assert!(gain.mean > 0.0 && gain.mean <= 1.0);
-        assert!(gain.sd >= 0.0);
-        assert!(deg.mean > 0.1, "attack must bite on every seed: {deg:?}");
-        // Single seed: sd is zero by definition.
-        let (single, _) = exp.run_point_seeds(0.1, 30e6, 0.4, &[1]).unwrap();
-        assert_eq!(single.sd, 0.0);
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = exp.baseline_bytes().unwrap();
-        let gammas = [0.3, 0.6];
-        let serial = exp
-            .sweep_with_baseline(0.1, 30e6, &gammas, baseline)
-            .unwrap();
-        let parallel = exp.sweep_parallel(0.1, 30e6, &gammas, baseline).unwrap();
-        assert_eq!(serial.points.len(), parallel.points.len());
-        for (a, b) in serial.points.iter().zip(&parallel.points) {
-            assert_eq!(a, b, "parallel execution must not change results");
-        }
-    }
-
-    #[test]
     fn checked_run_is_clean_on_a_healthy_scenario() {
-        let exp = quick_experiment(3)
-            .window(SimDuration::from_secs(8))
-            .checks(true);
-        let baseline = exp.baseline_bytes().unwrap();
-        let p = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
+        let spec = quick_spec().checked();
+        let base = baseline(&spec).unwrap().0;
+        let (p, _, _) = point(&spec, base).unwrap();
         assert!(p.degradation_sim > 0.0);
     }
 
     #[test]
     fn metrics_are_read_only_observers() {
-        let plain_exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = plain_exp.baseline_bytes().unwrap();
-        let plain = plain_exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-        // Without the flag, observed variants return no snapshot.
-        let (_, _, none) = plain_exp.baseline_observed(None).unwrap();
+        let spec = quick_spec();
+        let (base, _, none) = baseline(&spec).unwrap();
+        // Without the flag, measurements return no snapshot.
         assert!(none.is_none());
-        let metered_exp = plain_exp.metrics(true);
-        let (point, _, snap) = metered_exp
-            .run_point_observed(0.1, 30e6, 0.4, baseline, None)
-            .unwrap();
-        assert_eq!(plain, point, "metrics must not perturb the run");
+        let (plain, _, _) = point(&spec, base).unwrap();
+        let (p, _, snap) = point(&spec.metered(), base).unwrap();
+        assert_eq!(plain, p, "metrics must not perturb the run");
         let snap = snap.expect("metrics enabled");
         assert!(snap.counter("engine", "pops_packet_tier").unwrap() > 0);
         assert!(snap.counter("link/0", "enqueued").unwrap() > 0);
@@ -1172,66 +835,27 @@ mod tests {
 
     #[test]
     fn detector_taps_are_read_only_observers() {
-        let plain_exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = plain_exp.baseline_bytes().unwrap();
-        let plain = plain_exp
-            .run_point_traced(
-                0.1,
-                30e6,
-                0.4,
-                baseline,
-                Some(SimDuration::from_millis(100)),
-            )
-            .unwrap();
-        let tapped = plain_exp
-            .clone()
-            .detect(true)
-            .run_point_traced(
-                0.1,
-                30e6,
-                0.4,
-                baseline,
-                Some(SimDuration::from_millis(100)),
-            )
-            .unwrap();
-        assert_eq!(plain, tapped, "the tap must not perturb the run");
+        let spec = quick_spec().traced(SimDuration::from_millis(100));
+        let base = baseline(&quick_spec()).unwrap().0;
+        let (plain, plain_bins, _) = point(&spec, base).unwrap();
+        let (tapped, tapped_bins, _) = point(&spec.tapped(), base).unwrap();
+        assert_eq!(
+            (plain, plain_bins),
+            (tapped, tapped_bins),
+            "the tap must not perturb the run"
+        );
     }
 
     #[test]
     fn cusum_drift_fault_is_an_engine_level_no_op() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = exp.baseline_bytes().unwrap();
-        let clean = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
+        let spec = quick_spec();
+        let base = baseline(&spec).unwrap().0;
+        let (clean, _, _) = point(&spec, base).unwrap();
         // Detector-layer fault: physics-neutral AND invisible even to a
         // checked run — the fuzz campaign's detector stage is what trips.
-        let drilled = exp
-            .clone()
-            .fault(Some(SeededFault::CusumDrift))
-            .checks(true)
-            .run_point(0.1, 30e6, 0.4, baseline)
-            .unwrap();
-        assert_eq!(clean, drilled, "CusumDrift must not perturb the bench");
-    }
-
-    #[test]
-    fn seeded_faults_are_physics_neutral_and_caught_by_checks() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = exp.baseline_bytes().unwrap();
-        let clean = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-        for fault in [SeededFault::LinkAccounting, SeededFault::OmitLinkStats] {
-            // Counters-only corruption: the unchecked measurement is
-            // bit-identical to a clean run...
-            let faulted = exp.clone().fault(Some(fault));
-            let p = faulted.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-            assert_eq!(p, clean, "{fault:?} must not perturb physics");
-            // ...and the checked one must fail the conservation audit.
-            let checked = faulted.checks(true);
-            let err = checked.run_point(0.1, 30e6, 0.4, baseline).unwrap_err();
-            assert!(
-                matches!(err, ExperimentError::Invariant(_)),
-                "{fault:?}: expected Invariant, got {err:?}"
-            );
-        }
+        let drilled = spec.faulted(SeededFault::CusumDrift).checked();
+        let (p, _, _) = point(&drilled, base).unwrap();
+        assert_eq!(clean, p, "CusumDrift must not perturb the bench");
     }
 
     /// Tentpole contract at the experiment layer: a fully observed
@@ -1239,24 +863,17 @@ mod tests {
     /// physics as the legacy single-loop engine.
     #[test]
     fn sharded_experiment_matches_unsharded_bit_for_bit() {
-        let exp = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = exp.baseline_bytes().unwrap();
-        let plain = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-        let sharded_exp = exp
-            .clone()
-            .shards(4)
-            .checks(true)
-            .metrics(true)
-            .detect(true);
+        let spec = quick_spec();
+        let base = baseline(&spec).unwrap().0;
+        let (plain, _, _) = point(&spec, base).unwrap();
+        let sharded = spec.sharded(4).checked().metered().tapped();
         assert_eq!(
-            sharded_exp.baseline_bytes().unwrap(),
-            baseline,
+            baseline(&sharded).unwrap().0,
+            base,
             "sharding must not perturb the baseline"
         );
-        let (point, _, snap) = sharded_exp
-            .run_point_observed(0.1, 30e6, 0.4, baseline, None)
-            .unwrap();
-        assert_eq!(plain, point, "sharding must not perturb the physics");
+        let (p, _, snap) = point(&sharded, base).unwrap();
+        assert_eq!(plain, p, "sharding must not perturb the physics");
         assert!(
             snap.expect("metered")
                 .counter("link/0", "enqueued")
@@ -1269,16 +886,12 @@ mod tests {
     /// still reproduces the cold run byte for byte.
     #[test]
     fn sharded_warm_start_forks_identically() {
-        let exp = quick_experiment(3)
-            .window(SimDuration::from_secs(8))
-            .shards(2);
-        let baseline = exp.baseline_bytes().unwrap();
-        let cold = exp.run_point(0.1, 30e6, 0.4, baseline).unwrap();
-        let warm = exp.warm_start(None).unwrap();
-        let forked = exp
-            .run_point_observed_from(&warm, 0.1, 30e6, 0.4, baseline)
-            .unwrap()
-            .0;
+        let spec = quick_spec().sharded(2);
+        let base = baseline(&spec).unwrap().0;
+        let (cold, _, _) = point(&spec, base).unwrap();
+        let warm = warm_start(&spec).unwrap();
+        let plan = plan_attack(&spec, STRONG).unwrap();
+        let (forked, _, _) = measure_point(&spec, warm.fork(), plan, base).unwrap();
         assert_eq!(cold, forked, "forked sharded run must equal cold");
     }
 
@@ -1287,15 +900,14 @@ mod tests {
     /// checker must turn the run red.
     #[test]
     fn shard_skew_fault_is_caught_by_a_checked_sharded_run() {
-        let clean = quick_experiment(3).window(SimDuration::from_secs(8));
-        let baseline = clean.baseline_bytes().unwrap();
+        let clean = quick_spec();
+        let base = baseline(&clean).unwrap().0;
         let drilled = clean
             .clone()
-            .shards(2)
-            .checks(true)
-            .fault(Some(SeededFault::ShardSkew));
-        let err = drilled.run_point(0.1, 30e6, 0.4, baseline).unwrap_err();
-        match err {
+            .sharded(2)
+            .checked()
+            .faulted(SeededFault::ShardSkew);
+        match point(&drilled, base).unwrap_err() {
             ExperimentError::Invariant(msg) => {
                 assert!(msg.contains("clock"), "expected a clock violation: {msg}");
             }
@@ -1303,8 +915,8 @@ mod tests {
         }
         // On the legacy engine there is no channel to skew: the drill is
         // refused and a checked run stays clean.
-        let unsharded = clean.checks(true).fault(Some(SeededFault::ShardSkew));
-        let p = unsharded.run_point(0.1, 30e6, 0.4, baseline).unwrap();
+        let unsharded = clean.checked().faulted(SeededFault::ShardSkew);
+        let (p, _, _) = point(&unsharded, base).unwrap();
         assert!(p.degradation_sim > 0.0);
     }
 

@@ -7,8 +7,9 @@
 //! * [`spec::ScenarioSpec`] — topology/parameter presets as plain data;
 //! * [`bench::Testbench`] — a wired simulator with victim flows, attacker
 //!   host and goodput/loss instrumentation;
-//! * [`experiment::GainExperiment`] — the Γ and gain measurement driving
-//!   Figs. 6–10 and 12;
+//! * [`experiment`] — the Γ and gain measurement protocol driving
+//!   Figs. 6–10 and 12, as functions of one [`runner::ExperimentSpec`],
+//!   with [`experiment::GainExperiment`] as its serial convenience;
 //! * [`classify::GainClass`] — the normal/under/over-gain taxonomy of
 //!   §4.1.1;
 //! * [`sync::SyncExperiment`] — the quasi-global synchronization
@@ -45,10 +46,10 @@ pub mod sync;
 /// Convenient re-exports.
 pub mod prelude {
     pub use crate::bench::{AttackPhasing, FlowHandle, Testbench, ATTACK_FLOW};
-    pub use crate::classify::GainClass;
+    pub use crate::classify::{GainClass, CLASS_MARGIN};
     pub use crate::experiment::{
         gamma_grid, optimal_pulse_train, ExperimentError, GainExperiment, GainPoint, GainSweep,
-        SeedStats, SeededFault,
+        SeededFault,
     };
     pub use crate::figures::{
         gain_figure_specs, gain_figure_specs_cc, roc_specs, FigureGrid, GainFigure,

@@ -31,7 +31,10 @@
 //! serial protocol — and because a baseline is a pure function of the
 //! scenario, memoization cannot perturb determinism.
 
-use crate::experiment::{ExperimentError, GainExperiment, GainPoint, SeededFault, WarmStart};
+use crate::experiment::{
+    cold_start, measure_baseline, measure_point, plan_attack, warm_start, ExperimentError,
+    GainPoint, ReadyRun, SeededFault, WarmStart,
+};
 use crate::spec::ScenarioSpec;
 use pdos_analysis::gain::RiskPreference;
 use pdos_sim::time::SimDuration;
@@ -635,24 +638,16 @@ impl CheckpointCache {
         cell
     }
 
-    /// The warmed-up cell for `key`, simulating the shared prefix on first
+    /// The warmed-up cell for `spec`'s prefix, simulating it on first
     /// use. A failed warm-up (un-checkpointable state) is memoized too, so
     /// every run of that prefix falls back to cold exactly once per sweep.
     /// Each actual warm-up simulation (the `OnceLock` closure firing)
     /// bumps `stats.warmups` — the sweep's cold-start count.
-    fn get_or_warm(
-        &self,
-        key: u64,
-        exp: &GainExperiment,
-        trace_bin: Option<SimDuration>,
-        stats: &WarmStats,
-    ) -> WarmCell {
-        let cell = self.cell(key);
+    fn get_or_warm(&self, spec: &ExperimentSpec, stats: &WarmStats) -> WarmCell {
+        let cell = self.cell(spec.prefix_hash());
         cell.get_or_init(|| {
             stats.warmups.fetch_add(1, Ordering::Relaxed);
-            exp.warm_start(trace_bin)
-                .map(Mutex::new)
-                .map_err(|e| e.to_string())
+            warm_start(spec).map(Mutex::new).map_err(|e| e.to_string())
         });
         cell
     }
@@ -874,154 +869,101 @@ impl SweepRunner {
     ) -> RunRecord {
         let started = Instant::now();
         let run_seed = derive_seed(self.master_seed, spec);
-        let mut scenario = spec.scenario.clone();
+        // The effective spec: the scenario after the seed policy, so the
+        // memo and prefix keys below only pair runs with equal physics.
+        let mut spec = spec.clone();
         if self.seed_policy == SeedPolicy::Derived {
-            scenario.seed = run_seed;
+            spec.scenario.seed = run_seed;
         }
-        let scenario_seed = scenario.seed;
-
-        let record = |outcome, baseline_bytes, metrics, wall| RunRecord {
+        let spec = &spec;
+        let record = |outcome, baseline_bytes, metrics| RunRecord {
             id: spec.id.clone(),
             run_seed,
-            scenario_seed,
+            scenario_seed: spec.scenario.seed,
             baseline_bytes,
             outcome,
             metrics,
-            wall,
+            wall: started.elapsed(),
         };
+        let failed = |reason: String| record(RunOutcome::Failed { reason }, 0, None);
 
-        let risk = match RiskPreference::new(spec.kappa) {
-            Ok(r) => r,
-            Err(reason) => {
-                return record(RunOutcome::Failed { reason }, 0, None, started.elapsed());
-            }
-        };
-        // The baseline key digests the *effective* scenario (post seed
-        // policy) plus the windows — and the fault seam, so a deliberately
-        // corrupted baseline is never shared with a clean run.
-        let baseline_key = fnv1a64(
-            format!(
-                "{:?}|{:?}|{:?}|{:?}",
-                scenario, spec.warmup, spec.window, spec.fault
-            )
-            .as_bytes(),
-        );
-        // The prefix key likewise digests the effective scenario, so only
-        // runs with equal physics share a warm-start checkpoint.
-        let prefix_key = ExperimentSpec::prefix_hash_of(
-            &scenario,
-            spec.warmup,
-            spec.trace_bin,
-            spec.checks,
-            spec.metrics,
-            spec.detect,
-            spec.shards,
-        );
-        let exp = GainExperiment::new(scenario)
-            .warmup(spec.warmup)
-            .window(spec.window)
-            .risk(risk)
-            .checks(spec.checks)
-            .metrics(spec.metrics)
-            .detect(spec.detect)
-            .fault(spec.fault)
-            .shards(spec.shards);
+        if let Err(reason) = RiskPreference::new(spec.kappa) {
+            return failed(reason);
+        }
 
         // Warm start: simulate the shared prefix once per distinct digest,
         // then fork per run. Forking holds the cell lock only as long as
         // the (cheap) state clone; the measurement runs unlocked. A prefix
         // that cannot be checkpointed memoizes its failure and every run
-        // of it executes the normal cold path — results are identical
-        // either way, warm-starting is purely a wall-clock optimization.
-        let warm_cell = self
-            .warm_start
-            .then(|| warm_cache.get_or_warm(prefix_key, &exp, spec.trace_bin, stats));
+        // of it starts cold — results are identical either way, so
+        // warm-starting is purely a wall-clock optimization.
+        let warm_cell = self.warm_start.then(|| warm_cache.get_or_warm(spec, stats));
         let fork = || {
-            let cell = warm_cell.as_ref()?;
-            let warm = forkable(cell)?.lock().expect("warm start poisoned");
-            let run = exp.fork_run(&warm);
+            let warm = forkable(warm_cell.as_ref()?)?
+                .lock()
+                .expect("warm start poisoned");
             stats.forked_runs.fetch_add(1, Ordering::Relaxed);
-            Some(run)
+            Some(warm.fork())
         };
+        let ready = |forked: Option<ReadyRun>| forked.map_or_else(|| cold_start(spec), Ok);
 
-        let outcome = match spec.attack {
-            None => {
-                let result = match fork() {
-                    Some(run) => exp.baseline_observed_forked(run),
-                    None => exp.baseline_observed(spec.trace_bin),
-                };
-                match result {
-                    Ok((goodput_bytes, trace, snapshot)) => {
-                        return record(
-                            RunOutcome::Benign {
-                                goodput_bytes,
-                                trace,
-                            },
-                            goodput_bytes,
-                            snapshot,
-                            started.elapsed(),
-                        );
-                    }
-                    Err(e) => RunOutcome::Failed {
-                        reason: e.to_string(),
+        let Some(attack) = spec.attack else {
+            return match ready(fork()).and_then(|run| measure_baseline(spec, run)) {
+                Ok((goodput_bytes, trace, snapshot)) => record(
+                    RunOutcome::Benign {
+                        goodput_bytes,
+                        trace,
                     },
-                }
-            }
-            Some(attack) => {
-                let measure_baseline = || match fork() {
-                    Some(run) => exp
-                        .baseline_observed_forked(run)
-                        .map(|(bytes, _, _)| bytes)
-                        .map_err(|e| e.to_string()),
-                    None => exp.baseline_bytes().map_err(|e| e.to_string()),
-                };
-                match cache.get_or_measure(baseline_key, measure_baseline) {
-                    Err(reason) => RunOutcome::Failed { reason },
-                    Ok(baseline) => {
-                        let result = match fork() {
-                            Some(run) => exp.run_point_observed_forked(
-                                run,
-                                attack.t_extent,
-                                attack.r_attack,
-                                attack.gamma,
-                                baseline,
-                            ),
-                            None => exp.run_point_observed(
-                                attack.t_extent,
-                                attack.r_attack,
-                                attack.gamma,
-                                baseline,
-                                spec.trace_bin,
-                            ),
-                        };
-                        match result {
-                            Ok((point, trace, snapshot)) => {
-                                return record(
-                                    RunOutcome::Point { point, trace },
-                                    baseline,
-                                    snapshot,
-                                    started.elapsed(),
-                                );
-                            }
-                            Err(ExperimentError::Pulse(e)) => RunOutcome::Infeasible {
-                                reason: e.to_string(),
-                            },
-                            Err(e) => RunOutcome::Failed {
-                                reason: e.to_string(),
-                            },
-                        }
-                    }
-                }
-            }
+                    goodput_bytes,
+                    snapshot,
+                ),
+                Err(e) => failed(e.to_string()),
+            };
         };
-        record(outcome, 0, None, started.elapsed())
+        // The baseline key digests the effective scenario plus the
+        // windows — and the fault seam, so a deliberately corrupted
+        // baseline is never shared with a clean run.
+        let baseline_key = fnv1a64(
+            format!(
+                "{:?}|{:?}|{:?}|{:?}",
+                spec.scenario, spec.warmup, spec.window, spec.fault
+            )
+            .as_bytes(),
+        );
+        let baseline = match cache.get_or_measure(baseline_key, || {
+            ready(fork())
+                .and_then(|run| measure_baseline(spec, run))
+                .map(|(bytes, _, _)| bytes)
+                .map_err(|e| e.to_string())
+        }) {
+            Ok(baseline) => baseline,
+            Err(reason) => return failed(reason),
+        };
+        // Fork before planning: an infeasible point still takes (and
+        // counts) its fork, while a cold one fails before simulating.
+        let forked = fork();
+        let measured = plan_attack(spec, attack)
+            .and_then(|plan| measure_point(spec, ready(forked)?, plan, baseline));
+        match measured {
+            Ok((point, trace, snapshot)) => {
+                record(RunOutcome::Point { point, trace }, baseline, snapshot)
+            }
+            Err(ExperimentError::Pulse(e)) => record(
+                RunOutcome::Infeasible {
+                    reason: e.to_string(),
+                },
+                0,
+                None,
+            ),
+            Err(e) => failed(e.to_string()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdos_sim::time::SimDuration;
+    use crate::experiment::GainExperiment;
 
     fn quick_scenario(n_flows: usize) -> ScenarioSpec {
         ScenarioSpec::ns2_dumbbell(n_flows)
@@ -1176,17 +1118,39 @@ mod tests {
     #[test]
     fn infeasible_points_are_recorded_not_fatal() {
         // R_attack = 10 Mbps -> C_attack = 2/3: gamma = 0.8 infeasible.
-        let mut spec = quick_spec("inf", 0.8);
-        spec.attack = Some(AttackPoint {
-            t_extent: 0.1,
-            r_attack: 10e6,
-            gamma: 0.8,
-        });
-        let report = SweepRunner::new(1).run(&[spec]);
-        assert!(matches!(
-            report.records[0].outcome,
-            RunOutcome::Infeasible { .. }
-        ));
+        // A non-finite or non-positive width or rate is infeasible too,
+        // on the forked path (fork, then plan) and the cold one (plan
+        // first), never a panic.
+        let specs: Vec<ExperimentSpec> = [
+            (0.1, 10e6, 0.8),
+            (-0.1, 30e6, 0.4),
+            (f64::NAN, 30e6, 0.4),
+            (0.1, 0.0, 0.4),
+            (0.1, f64::INFINITY, 0.4),
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, &(t_extent, r_attack, gamma))| {
+            let mut spec = quick_spec(&format!("inf{i}"), gamma);
+            spec.attack = Some(AttackPoint {
+                t_extent,
+                r_attack,
+                gamma,
+            });
+            spec
+        })
+        .collect();
+        for warm in [true, false] {
+            let report = SweepRunner::new(1).warm_start(warm).run(&specs);
+            for r in &report.records {
+                assert!(
+                    matches!(r.outcome, RunOutcome::Infeasible { .. }),
+                    "{}: {:?}",
+                    r.id,
+                    r.outcome
+                );
+            }
+        }
     }
 
     #[test]
@@ -1411,20 +1375,29 @@ mod tests {
 
     #[test]
     fn faulted_spec_fails_only_when_checked() {
-        // The injected accounting bug is invisible without the checkers...
-        let quiet = SweepRunner::new(4)
-            .jobs(1)
-            .run(&[quick_spec("q", 0.4).faulted(SeededFault::LinkAccounting)]);
-        assert!(matches!(quiet.records[0].outcome, RunOutcome::Point { .. }));
-        // ...and an invariant-violation failure with them.
-        let caught = SweepRunner::new(4).jobs(1).run(&[quick_spec("q", 0.4)
-            .faulted(SeededFault::LinkAccounting)
-            .checked()]);
-        match &caught.records[0].outcome {
-            RunOutcome::Failed { reason } => {
-                assert!(reason.contains("violation"), "got: {reason}");
+        let clean = SweepRunner::new(4).jobs(1).run(&[quick_spec("q", 0.4)]);
+        for fault in [SeededFault::LinkAccounting, SeededFault::OmitLinkStats] {
+            // The injected counter bug is invisible without the checkers
+            // and leaves the physics untouched...
+            let quiet = SweepRunner::new(4)
+                .jobs(1)
+                .run(&[quick_spec("q", 0.4).faulted(fault)]);
+            assert!(matches!(quiet.records[0].outcome, RunOutcome::Point { .. }));
+            assert_eq!(
+                quiet.results_json(),
+                clean.results_json(),
+                "{fault:?} must not perturb physics"
+            );
+            // ...and an invariant-violation failure with them.
+            let caught = SweepRunner::new(4)
+                .jobs(1)
+                .run(&[quick_spec("q", 0.4).faulted(fault).checked()]);
+            match &caught.records[0].outcome {
+                RunOutcome::Failed { reason } => {
+                    assert!(reason.contains("violation"), "{fault:?}: got {reason}");
+                }
+                other => panic!("{fault:?}: expected Failed, got {other:?}"),
             }
-            other => panic!("expected Failed, got {other:?}"),
         }
     }
 
