@@ -203,6 +203,21 @@ fn positive(args: &Args, key: &str, default: Option<f64>) -> Result<f64, ArgErro
     }
 }
 
+/// Reads `--bin-ms` (default 100) as a trace bin width. This is the one
+/// conversion to a [`SimDuration`]: a positive width that rounds to zero
+/// nanoseconds would reach the trace's asserting constructor, so it is
+/// rejected here.
+fn bin_width(args: &Args) -> Result<SimDuration, ArgError> {
+    let ms = positive(args, "bin-ms", Some(100.0))?;
+    let bin = SimDuration::from_secs_f64(ms / 1000.0);
+    if bin.is_zero() {
+        return Err(ArgError(format!(
+            "--bin-ms {ms} rounds to a zero-width bin; the resolution is 1 ns (1e-6 ms)"
+        )));
+    }
+    Ok(bin)
+}
+
 fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> {
     let mut spec = if args.flag("testbed") {
         let mut s = ScenarioSpec::testbed();
@@ -299,8 +314,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     .warmup(SimDuration::from_secs(8))
     .window(SimDuration::from_secs_f64(window));
     if args.get("trace-out").is_some() {
-        let bin_ms = positive(args, "bin-ms", Some(100.0))?;
-        run = run.traced(SimDuration::from_secs_f64(bin_ms / 1000.0));
+        run = run.traced(bin_width(args)?);
     }
     let record = SweepRunner::new(0)
         .seed_policy(SeedPolicy::FromScenario)
@@ -1241,14 +1255,14 @@ pub fn cmd_detect(args: &Args) -> Result<String, ArgError> {
         .get("csv")
         .ok_or_else(|| ArgError("missing required option --csv".into()))?;
     let capacity = positive(args, "capacity-mbps", None)? * 1e6;
-    let bin_ms = positive(args, "bin-ms", Some(100.0))?;
+    let bin_secs = bin_width(args)?.as_secs_f64();
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let bytes = parse_trace(&text)?;
     if bytes.is_empty() {
         return Err(ArgError(format!("{path} contains no samples")));
     }
-    Ok(detect_report(&bytes, capacity, bin_ms / 1000.0))
+    Ok(detect_report(&bytes, capacity, bin_secs))
 }
 
 /// Parses a one-integer-per-line trace (blank lines and `#` comments
@@ -1354,7 +1368,8 @@ fn serve_alarms(bytes: &[u64], capacity_bps: f64, bin_secs: f64) -> Vec<Alarm> {
 /// The output never mentions worker counts or wall-clock, so it is
 /// byte-identical across `--jobs`.
 fn cmd_serve(args: &Args) -> Result<String, ArgError> {
-    let bin_secs = positive(args, "bin-ms", Some(100.0))? / 1000.0;
+    let bin = bin_width(args)?;
+    let bin_secs = bin.as_secs_f64();
     let mut out = String::new();
 
     let runs: Vec<(String, Vec<Alarm>)> = if let Some(path) = args.get("replay") {
@@ -1370,7 +1385,6 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     } else {
         let scenario = args.get("scenario").unwrap_or("golden");
         let jobs: usize = args.num("jobs", 0)?;
-        let bin = SimDuration::from_secs_f64(bin_secs);
         let specs: Vec<ExperimentSpec> = match scenario {
             "golden" => pdos_conformance::canonical_specs(),
             "fig06-smoke" => gain_figure_specs(GainFigure::Fig06, &FigureGrid::smoke()),
@@ -1593,6 +1607,14 @@ mod tests {
                 "--bin-ms",
             ),
             ("simulate --window-s 0".to_string(), "--window-s"),
+            (
+                format!("simulate --flows 2 --window-s 2 --trace-out {out} --bin-ms 1e-7"),
+                "--bin-ms",
+            ),
+            (
+                "serve --scenario golden --bin-ms 1e-7".to_string(),
+                "--bin-ms",
+            ),
         ] {
             let err = run(&parse(&cmd)).expect_err(&cmd);
             assert!(err.to_string().contains(key), "{cmd}: {err}");

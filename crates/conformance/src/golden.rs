@@ -118,7 +118,7 @@ pub fn compute_cc_digests(jobs: usize) -> Result<Vec<TraceDigest>, String> {
 ///
 /// Returns the failing run's id and reason if any run fails.
 pub fn compute_cc_digests_with(jobs: usize, warm_start: bool) -> Result<Vec<TraceDigest>, String> {
-    compute_digests_inner(cc_differential_specs(), jobs, warm_start).map(|(digests, _)| digests)
+    compute_spec_digests(&cc_differential_specs(), jobs, warm_start).map(|(digests, _)| digests)
 }
 
 /// Fingerprints a binned trace: `fnv1a64` over the little-endian `u64`
@@ -141,72 +141,7 @@ pub fn digest_bins(bins: &[u64]) -> u64 {
 /// Returns the failing run's id and reason if any canonical run fails —
 /// including invariant violations.
 pub fn compute_digests(jobs: usize) -> Result<Vec<TraceDigest>, String> {
-    compute_digests_inner(canonical_specs(), jobs, true).map(|(digests, _)| digests)
-}
-
-/// Like [`compute_digests`], but with warm-start checkpointing explicitly
-/// forced on or off. Forking a checkpointed warm-up is contractually
-/// byte-identical to re-simulating it, so both settings must produce the
-/// same digests — the fork-equivalence conformance tests pin exactly that.
-///
-/// # Errors
-///
-/// Returns the failing run's id and reason if any canonical run fails.
-pub fn compute_digests_with(jobs: usize, warm_start: bool) -> Result<Vec<TraceDigest>, String> {
-    compute_digests_inner(canonical_specs(), jobs, warm_start).map(|(digests, _)| digests)
-}
-
-/// Like [`compute_digests_metered`], but with warm-start checkpointing
-/// explicitly forced on or off.
-///
-/// # Errors
-///
-/// Returns the failing run's id and reason if any canonical run fails.
-pub fn compute_digests_metered_with(
-    jobs: usize,
-    warm_start: bool,
-) -> Result<(Vec<TraceDigest>, pdos_metrics::MetricsSnapshot), String> {
-    let specs = canonical_specs()
-        .into_iter()
-        .map(ExperimentSpec::metered)
-        .collect();
-    let (digests, snapshot) = compute_digests_inner(specs, jobs, warm_start)?;
-    Ok((
-        digests,
-        snapshot.ok_or("metered sweep produced no metrics snapshot")?,
-    ))
-}
-
-/// Like [`compute_digests`], but runs every canonical scenario with the
-/// engine's per-link detector tap enabled. Taps are contractually
-/// hash-neutral — read-only binning on the forwarding path — so the
-/// digests this returns must equal the plain [`compute_digests`] output;
-/// the conformance suite pins exactly that against the golden literals.
-///
-/// # Errors
-///
-/// Returns the failing run's id and reason if any canonical run fails.
-pub fn compute_digests_tapped(jobs: usize) -> Result<Vec<TraceDigest>, String> {
-    let specs = canonical_specs()
-        .into_iter()
-        .map(ExperimentSpec::tapped)
-        .collect();
-    compute_digests_inner(specs, jobs, true).map(|(digests, _)| digests)
-}
-
-/// Like [`compute_digests`], but runs every canonical scenario with the
-/// metrics registry enabled and returns the merged snapshot alongside the
-/// digests. Metrics are contractually hash-neutral, so the digests this
-/// returns must equal the plain [`compute_digests`] output — the
-/// conformance suite pins exactly that.
-///
-/// # Errors
-///
-/// Returns the failing run's id and reason if any canonical run fails.
-pub fn compute_digests_metered(
-    jobs: usize,
-) -> Result<(Vec<TraceDigest>, pdos_metrics::MetricsSnapshot), String> {
-    compute_digests_metered_with(jobs, true)
+    compute_spec_digests(&canonical_specs(), jobs, true).map(|(digests, _)| digests)
 }
 
 /// Like [`compute_digests`], but runs every canonical scenario on a
@@ -214,48 +149,32 @@ pub fn compute_digests_metered(
 /// contractually bit-identical to sequential execution — the
 /// conservative-lookahead rounds reproduce the exact global event order —
 /// so the digests this returns must equal the plain [`compute_digests`]
-/// output and the stored golden file; the conformance suite pins exactly
-/// that for `shards ∈ {2, 4}` against the committed literals.
+/// output and the stored golden file.
 ///
 /// # Errors
 ///
 /// Returns the failing run's id and reason if any canonical run fails.
 pub fn compute_digests_sharded(jobs: usize, shards: usize) -> Result<Vec<TraceDigest>, String> {
-    let specs = canonical_specs()
+    let specs: Vec<_> = canonical_specs()
         .into_iter()
         .map(|s| s.sharded(shards))
         .collect();
-    compute_digests_inner(specs, jobs, true).map(|(digests, _)| digests)
+    compute_spec_digests(&specs, jobs, true).map(|(digests, _)| digests)
 }
 
-/// The strictest sharded leg: every canonical scenario on a sharded
-/// engine with the invariant checkers (always on for canonical specs),
-/// the metrics registry *and* the per-link detector tap enabled at once,
-/// with warm-start forced on or off. All three observers are
-/// contractually hash-neutral and shard-aware, so the digests must still
-/// equal the plain unsharded [`compute_digests`] output.
+/// Runs `specs` through the sweep runner — warm-started from forked
+/// checkpoints or cold, per `warm_start` — and fingerprints each run's
+/// trace, in spec order, alongside the runs' merged metrics (`None`
+/// unless a spec is metered). Every golden leg goes through here: callers
+/// build the spec list (metered, tapped, sharded, per-CC) and the
+/// digests of a hash-neutral variant must equal the plain ones.
 ///
 /// # Errors
 ///
-/// Returns the failing run's id and reason if any canonical run fails.
-pub fn compute_digests_sharded_full(
-    jobs: usize,
-    shards: usize,
-    warm_start: bool,
-) -> Result<(Vec<TraceDigest>, pdos_metrics::MetricsSnapshot), String> {
-    let specs = canonical_specs()
-        .into_iter()
-        .map(|s| s.sharded(shards).tapped().metered())
-        .collect();
-    let (digests, snapshot) = compute_digests_inner(specs, jobs, warm_start)?;
-    Ok((
-        digests,
-        snapshot.ok_or("metered sharded sweep produced no metrics snapshot")?,
-    ))
-}
-
-fn compute_digests_inner(
-    specs: Vec<ExperimentSpec>,
+/// Returns the failing run's id and reason if any run fails — including
+/// invariant violations.
+pub fn compute_spec_digests(
+    specs: &[ExperimentSpec],
     jobs: usize,
     warm_start: bool,
 ) -> Result<(Vec<TraceDigest>, Option<pdos_metrics::MetricsSnapshot>), String> {
@@ -263,7 +182,7 @@ fn compute_digests_inner(
         .seed_policy(SeedPolicy::FromScenario)
         .jobs(jobs)
         .warm_start(warm_start)
-        .run(&specs);
+        .run(specs);
     let digests = report
         .records
         .iter()

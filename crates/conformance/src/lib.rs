@@ -37,9 +37,8 @@ pub use equivalence::{
 };
 pub use golden::{
     canonical_specs, cc_differential_specs, compute_cc_digests, compute_cc_digests_with,
-    compute_digests, compute_digests_metered, compute_digests_metered_with,
-    compute_digests_sharded, compute_digests_sharded_full, compute_digests_tapped,
-    compute_digests_with, digest_bins, TraceDigest, GOLDEN_FILE,
+    compute_digests, compute_digests_sharded, compute_spec_digests, digest_bins, TraceDigest,
+    GOLDEN_FILE,
 };
 pub use oracle::{check_point, run_oracle, OracleConfig, OracleOutcome, PointVerdict};
 pub use sharding::{

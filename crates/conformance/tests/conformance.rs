@@ -5,9 +5,8 @@
 //! digests (equivalently: `pdos check --bless`).
 
 use pdos_conformance::{
-    compute_cc_digests, compute_cc_digests_with, compute_digests, compute_digests_metered,
-    compute_digests_metered_with, compute_digests_sharded, compute_digests_sharded_full,
-    compute_digests_tapped, golden, run_equivalence, run_oracle, run_shard_battery,
+    canonical_specs, compute_cc_digests, compute_cc_digests_with, compute_digests,
+    compute_spec_digests, golden, run_equivalence, run_oracle, run_shard_battery,
     EquivalenceConfig, OracleConfig, ShardBatteryConfig, GOLDEN_FILE,
 };
 use pdos_scenarios::experiment::{measure_baseline, measure_point, plan_attack, warm_start};
@@ -49,144 +48,121 @@ fn golden_traces_match_the_stored_digests() {
     );
 }
 
-/// Equivalence lock for the two-tier event queue + packet arena.
+/// The literal `(name, bins, total bytes, digest)` rows the pre-rewrite
+/// engine produced for the canonical scenarios.
+const NO_REBLESS_DIGESTS: &[(&str, usize, u64, u64)] = &[
+    ("golden/ns2-benign", 80, 13_238_160, 0xf3c7_3471_d0fa_6ff6),
+    (
+        "golden/ns2-red-attacked",
+        80,
+        7_114_880,
+        0x46fa_6743_5da4_c0cd,
+    ),
+    (
+        "golden/ns2-droptail-attacked",
+        80,
+        7_182_480,
+        0x5ec8_7067_5582_2f4d,
+    ),
+    (
+        "golden/testbed-attacked",
+        80,
+        7_127_000,
+        0x8bb8_1cfe_ba7b_bae8,
+    ),
+];
+
+/// Runs the canonical scenarios (checkers always on, warm-started from
+/// forked checkpoints) once per `(shards, metered, tapped)` leg and holds
+/// every leg to [`NO_REBLESS_DIGESTS`] and to the committed golden file.
 ///
-/// The hot-path rewrite (timer wheel over an indexed heap, `Deliver`
-/// events carrying arena handles, real timer cancellation) claims
-/// *exact* behavioural equivalence with the plain-heap engine. This test
-/// pins all four canonical digests to the literal values the pre-rewrite
-/// engine produced — unlike [`golden_traces_match_the_stored_digests`]
-/// it ignores `PDOS_BLESS`, so the optimization cannot be "fixed" by
-/// re-blessing: if one of these moves, the queue or arena broke ordering.
+/// The two-tier event queue and packet arena, the observer set and the
+/// sharded engine each claim *exact* behavioural equivalence with the
+/// plain sequential engine. Unlike
+/// [`golden_traces_match_the_stored_digests`] this ignores `PDOS_BLESS`:
+/// a queue, observer hook or shard cut that moves one byte cannot be
+/// "fixed" by re-blessing. Metered legs also prove they were observed,
+/// not silently unmetered.
+fn assert_legs_keep_the_golden_digests(legs: &[(usize, bool, bool)]) {
+    let stored = std::fs::read_to_string(golden_path()).expect("golden file readable");
+    let stored = golden::parse_digests(&stored).expect("golden file parses");
+    for &(shards, metered, tapped) in legs {
+        let leg = format!("--shards {shards}, metered: {metered}, tapped: {tapped}");
+        let specs: Vec<ExperimentSpec> = canonical_specs()
+            .into_iter()
+            .map(|mut s| {
+                s.metrics = metered;
+                s.detect = tapped;
+                s.sharded(shards)
+            })
+            .collect();
+        let (current, snapshot) =
+            compute_spec_digests(&specs, 2, true).expect("canonical runs must succeed");
+        assert_eq!(current.len(), NO_REBLESS_DIGESTS.len(), "{leg}");
+        for (got, &(name, n_bins, total, digest)) in current.iter().zip(NO_REBLESS_DIGESTS) {
+            assert_eq!(got.name, name, "{leg}");
+            assert_eq!(got.n_bins, n_bins, "{name}: bin count moved at {leg}");
+            assert_eq!(
+                got.total_bytes, total,
+                "{name}: traffic total moved at {leg}"
+            );
+            assert_eq!(
+                got.digest, digest,
+                "{name}: trace digest moved at {leg} — the event queue, an \
+                 observer hook or the shard cut is perturbing the simulation \
+                 (re-blessing is not an acceptable fix for this test)"
+            );
+        }
+        let problems = golden::compare(&current, &stored);
+        assert!(
+            problems.is_empty(),
+            "{leg} drifted from the committed golden file:\n{}",
+            problems.join("\n")
+        );
+        assert_eq!(snapshot.is_some(), metered, "{leg}");
+        if let Some(snapshot) = snapshot {
+            assert!(snapshot.counter("engine", "pops_packet_tier").unwrap() > 0);
+            assert!(snapshot.counter("link/0", "enqueued").unwrap() > 0);
+        }
+    }
+}
+
+/// Every subset of {metered, tapped} at 1, 2 and 4 shards: twelve legs.
+#[test]
+fn every_observer_and_shard_combination_keeps_the_golden_digests_no_rebless() {
+    let mut legs = Vec::new();
+    for shards in [1usize, 2, 4] {
+        for (metered, tapped) in [(false, false), (true, false), (false, true), (true, true)] {
+            legs.push((shards, metered, tapped));
+        }
+    }
+    assert_legs_keep_the_golden_digests(&legs);
+}
+
+/// The plain single-shard leg: the event queue and packet arena alone.
 #[test]
 fn event_queue_rewrite_is_digest_equivalent_no_rebless() {
-    let expected: &[(&str, usize, u64, u64)] = &[
-        ("golden/ns2-benign", 80, 13_238_160, 0xf3c7_3471_d0fa_6ff6),
-        (
-            "golden/ns2-red-attacked",
-            80,
-            7_114_880,
-            0x46fa_6743_5da4_c0cd,
-        ),
-        (
-            "golden/ns2-droptail-attacked",
-            80,
-            7_182_480,
-            0x5ec8_7067_5582_2f4d,
-        ),
-        (
-            "golden/testbed-attacked",
-            80,
-            7_127_000,
-            0x8bb8_1cfe_ba7b_bae8,
-        ),
-    ];
-    let current = compute_digests(2).expect("canonical runs must succeed");
-    assert_eq!(current.len(), expected.len());
-    for (got, &(name, n_bins, total, digest)) in current.iter().zip(expected) {
-        assert_eq!(got.name, name);
-        assert_eq!(got.n_bins, n_bins, "{name}: bin count moved");
-        assert_eq!(got.total_bytes, total, "{name}: traffic total moved");
-        assert_eq!(
-            got.digest, digest,
-            "{name}: trace digest moved — the event-queue/arena rewrite \
-             is no longer behaviourally equivalent (re-blessing is not an \
-             acceptable fix for this test)"
-        );
-    }
+    assert_legs_keep_the_golden_digests(&[(1, false, false)]);
 }
 
-/// Determinism lock for the observability layer.
-///
-/// Metrics are contractually read-only: enabling the registry must not
-/// move a single byte of any canonical trace. Like the event-queue lock
-/// above, this pins the literal pre-metrics digests and ignores
-/// `PDOS_BLESS` — an instrumentation hook that perturbs packet timing
-/// cannot be "fixed" by re-blessing.
 #[test]
 fn metrics_enabled_runs_keep_all_golden_digests_no_rebless() {
-    let expected: &[(&str, usize, u64, u64)] = &[
-        ("golden/ns2-benign", 80, 13_238_160, 0xf3c7_3471_d0fa_6ff6),
-        (
-            "golden/ns2-red-attacked",
-            80,
-            7_114_880,
-            0x46fa_6743_5da4_c0cd,
-        ),
-        (
-            "golden/ns2-droptail-attacked",
-            80,
-            7_182_480,
-            0x5ec8_7067_5582_2f4d,
-        ),
-        (
-            "golden/testbed-attacked",
-            80,
-            7_127_000,
-            0x8bb8_1cfe_ba7b_bae8,
-        ),
-    ];
-    let (current, snapshot) = compute_digests_metered(2).expect("canonical runs must succeed");
-    assert_eq!(current.len(), expected.len());
-    for (got, &(name, n_bins, total, digest)) in current.iter().zip(expected) {
-        assert_eq!(got.name, name);
-        assert_eq!(got.n_bins, n_bins, "{name}: bin count moved");
-        assert_eq!(got.total_bytes, total, "{name}: traffic total moved");
-        assert_eq!(
-            got.digest, digest,
-            "{name}: trace digest moved with metrics enabled — an \
-             instrumentation hook is perturbing the simulation \
-             (re-blessing is not an acceptable fix for this test)"
-        );
-    }
-    // The runs really were observed, not silently unmetered.
-    assert!(snapshot.counter("engine", "pops_packet_tier").unwrap() > 0);
-    assert!(snapshot.counter("link/0", "enqueued").unwrap() > 0);
+    assert_legs_keep_the_golden_digests(&[(1, true, false)]);
 }
 
-/// Determinism lock for the detection layer's engine tap.
-///
-/// The per-link detector tap is contractually read-only: enabling it
-/// must not move a single byte of any canonical trace. Like the other
-/// locks, this pins the literal pre-tap digests and ignores
-/// `PDOS_BLESS` — a tap hook that perturbs packet timing cannot be
-/// "fixed" by re-blessing.
 #[test]
 fn tap_enabled_runs_keep_all_golden_digests_no_rebless() {
-    let expected: &[(&str, usize, u64, u64)] = &[
-        ("golden/ns2-benign", 80, 13_238_160, 0xf3c7_3471_d0fa_6ff6),
-        (
-            "golden/ns2-red-attacked",
-            80,
-            7_114_880,
-            0x46fa_6743_5da4_c0cd,
-        ),
-        (
-            "golden/ns2-droptail-attacked",
-            80,
-            7_182_480,
-            0x5ec8_7067_5582_2f4d,
-        ),
-        (
-            "golden/testbed-attacked",
-            80,
-            7_127_000,
-            0x8bb8_1cfe_ba7b_bae8,
-        ),
-    ];
-    let current = compute_digests_tapped(2).expect("canonical runs must succeed");
-    assert_eq!(current.len(), expected.len());
-    for (got, &(name, n_bins, total, digest)) in current.iter().zip(expected) {
-        assert_eq!(got.name, name);
-        assert_eq!(got.n_bins, n_bins, "{name}: bin count moved");
-        assert_eq!(got.total_bytes, total, "{name}: traffic total moved");
-        assert_eq!(
-            got.digest, digest,
-            "{name}: trace digest moved with the detector tap enabled — \
-             the tap hook is perturbing the simulation (re-blessing is \
-             not an acceptable fix for this test)"
-        );
-    }
+    assert_legs_keep_the_golden_digests(&[(1, false, true)]);
+}
+
+#[test]
+fn sharded_runs_keep_all_golden_digests_no_rebless() {
+    assert_legs_keep_the_golden_digests(&[(2, false, false), (4, false, false)]);
+}
+
+#[test]
+fn sharded_instrumented_runs_keep_all_golden_digests_no_rebless() {
+    assert_legs_keep_the_golden_digests(&[(2, true, true), (4, true, true)]);
 }
 
 /// Batch-vs-streaming detector equivalence over the canonical golden
@@ -199,105 +175,6 @@ fn streaming_detectors_match_batch_over_the_equivalence_battery() {
     let outcome = run_equivalence(&EquivalenceConfig::default());
     assert_eq!(outcome.n_runs, 54);
     assert!(outcome.pass(), "{}", outcome.summary());
-}
-
-/// Determinism lock for the sharded engine — the tentpole contract.
-///
-/// Conservative-lookahead sharding claims *exact* behavioural
-/// equivalence with sequential execution: `--shards N` must reproduce
-/// `--shards 1` digest for digest. This pins the sharded canonical runs
-/// to the same literal values every other lock uses and ignores
-/// `PDOS_BLESS` — a shard cut that reorders even one cross-shard
-/// delivery cannot be "fixed" by re-blessing. It also cross-checks
-/// against the committed golden file, so the sharded legs and the
-/// stored digests can never drift apart silently.
-#[test]
-fn sharded_runs_keep_all_golden_digests_no_rebless() {
-    let expected: &[(&str, usize, u64, u64)] = &[
-        ("golden/ns2-benign", 80, 13_238_160, 0xf3c7_3471_d0fa_6ff6),
-        (
-            "golden/ns2-red-attacked",
-            80,
-            7_114_880,
-            0x46fa_6743_5da4_c0cd,
-        ),
-        (
-            "golden/ns2-droptail-attacked",
-            80,
-            7_182_480,
-            0x5ec8_7067_5582_2f4d,
-        ),
-        (
-            "golden/testbed-attacked",
-            80,
-            7_127_000,
-            0x8bb8_1cfe_ba7b_bae8,
-        ),
-    ];
-    let stored = std::fs::read_to_string(golden_path()).expect("golden file readable");
-    let stored = golden::parse_digests(&stored).expect("golden file parses");
-    for shards in [2usize, 4] {
-        let current =
-            compute_digests_sharded(2, shards).expect("sharded canonical runs must succeed");
-        assert_eq!(current.len(), expected.len());
-        for (got, &(name, n_bins, total, digest)) in current.iter().zip(expected) {
-            assert_eq!(got.name, name);
-            assert_eq!(
-                got.n_bins, n_bins,
-                "{name}: bin count moved at --shards {shards}"
-            );
-            assert_eq!(
-                got.total_bytes, total,
-                "{name}: traffic total moved at --shards {shards}"
-            );
-            assert_eq!(
-                got.digest, digest,
-                "{name}: trace digest moved at --shards {shards} — the \
-                 sharded engine is no longer behaviourally equivalent to \
-                 sequential execution (re-blessing is not an acceptable \
-                 fix for this test)"
-            );
-        }
-        let problems = golden::compare(&current, &stored);
-        assert!(
-            problems.is_empty(),
-            "--shards {shards} drifted from the committed golden file:\n{}",
-            problems.join("\n")
-        );
-    }
-}
-
-/// The strictest sharded leg: checkers, metrics registry and detector
-/// tap all enabled at once on a sharded engine, warm-started from forked
-/// checkpoints — and still every canonical digest must sit on the same
-/// literals. Observability and checkpointing are shard-aware but
-/// contractually read-only; `PDOS_BLESS` is ignored.
-#[test]
-fn sharded_instrumented_runs_keep_all_golden_digests_no_rebless() {
-    let expected: &[(&str, u64)] = &[
-        ("golden/ns2-benign", 0xf3c7_3471_d0fa_6ff6),
-        ("golden/ns2-red-attacked", 0x46fa_6743_5da4_c0cd),
-        ("golden/ns2-droptail-attacked", 0x5ec8_7067_5582_2f4d),
-        ("golden/testbed-attacked", 0x8bb8_1cfe_ba7b_bae8),
-    ];
-    for shards in [2usize, 4] {
-        let (current, snapshot) = compute_digests_sharded_full(2, shards, true)
-            .expect("instrumented sharded canonical runs must succeed");
-        assert_eq!(current.len(), expected.len());
-        for (got, &(name, digest)) in current.iter().zip(expected) {
-            assert_eq!(got.name, name);
-            assert_eq!(
-                got.digest, digest,
-                "{name}: trace digest moved at --shards {shards} with \
-                 checks+metrics+tap enabled — an observer or the \
-                 checkpoint path is perturbing the sharded simulation \
-                 (re-blessing is not an acceptable fix for this test)"
-            );
-        }
-        // The runs really were observed, not silently unmetered.
-        assert!(snapshot.counter("engine", "pops_packet_tier").unwrap() > 0);
-        assert!(snapshot.counter("link/0", "enqueued").unwrap() > 0);
-    }
 }
 
 /// Sharded-vs-unsharded equivalence over fifty seeded-random topologies:
@@ -384,10 +261,15 @@ fn seeded_link_accounting_fault_is_flagged() {
 /// perturbed simulator state.
 #[test]
 fn forked_runs_match_cold_runs_digests_and_metrics() {
+    let specs: Vec<_> = canonical_specs()
+        .into_iter()
+        .map(ExperimentSpec::metered)
+        .collect();
     let (cold_digests, cold_metrics) =
-        compute_digests_metered_with(2, false).expect("cold canonical runs must succeed");
+        compute_spec_digests(&specs, 2, false).expect("cold canonical runs must succeed");
     let (warm_digests, warm_metrics) =
-        compute_digests_metered_with(2, true).expect("forked canonical runs must succeed");
+        compute_spec_digests(&specs, 2, true).expect("forked canonical runs must succeed");
+    assert!(cold_metrics.is_some(), "metered runs produced no metrics");
     assert_eq!(
         cold_digests, warm_digests,
         "forked runs drifted from cold runs — SimCheckpoint is incomplete"

@@ -386,6 +386,14 @@ pub fn parse_case(line: &str) -> Result<CaseParams, String> {
             .parse::<u64>()
             .map_err(|e| format!("bad {k}: {e}"))
     };
+    // The scenario builders assert on these; a repro line outside the
+    // range is an error naming the field, never a panic.
+    let positive = |k: &str| -> Result<u32, String> {
+        match int(k)? {
+            0 => Err(format!("bad {k}: 0 (want >= 1)")),
+            v => Ok(v),
+        }
+    };
 
     match fetch("topo")? {
         "dumbbell" => {
@@ -449,10 +457,17 @@ pub fn parse_case(line: &str) -> Result<CaseParams, String> {
             Ok(CaseParams::Dumbbell(DumbbellCase {
                 oracle,
                 base,
-                n_flows: int("flows")?,
+                n_flows: positive("flows")?,
                 queue,
                 mice_flows: int("mice")?,
-                loss_e4: int("loss_e4")?,
+                loss_e4: match int("loss_e4")? {
+                    v @ 0..=9_999 => v,
+                    v => {
+                        return Err(format!(
+                            "bad loss_e4: {v} (want < 10000, a probability below 1)"
+                        ))
+                    }
+                },
                 rtt,
                 seed: long("seed")?,
                 warmup_s: int("warmup_s")?,
@@ -485,8 +500,8 @@ pub fn parse_case(line: &str) -> Result<CaseParams, String> {
                 flows,
                 seed: long("seed")?,
                 run_s: int("run_s")?,
-                extent_ms: int("extent_ms")?,
-                rate_mbps: int("rate_mbps")?,
+                extent_ms: positive("extent_ms")?,
+                rate_mbps: positive("rate_mbps")?,
                 space_ms: int("space_ms")?,
             }))
         }
@@ -602,6 +617,33 @@ mod tests {
         assert!(parse_case(&line).is_err(), "non-integer field");
         let line = format!("{} cc=tahoe99", format_case(&sample_dumbbell()));
         assert!(parse_case(&line).is_err(), "unknown cc key");
+    }
+
+    /// Fields the scenario builders assert on: a hand-edited or corrupted
+    /// repro line outside their range must fail to parse, naming the
+    /// field, instead of aborting `pdos fuzz --replay`.
+    #[test]
+    fn out_of_range_fields_are_errors_not_panics() {
+        let parking =
+            "topo=parking-lot groups=1 seed=1 run_s=9 extent_ms=0 rate_mbps=30 space_ms=425";
+        let dumbbell = format_case(&sample_dumbbell());
+        for (line, field) in [
+            (parking.to_string(), "extent_ms"),
+            (
+                parking
+                    .replace("extent_ms=0", "extent_ms=75")
+                    .replace("rate_mbps=30", "rate_mbps=0"),
+                "rate_mbps",
+            ),
+            (dumbbell.replace("flows=5", "flows=0"), "flows"),
+            (dumbbell.replace("loss_e4=20", "loss_e4=99999"), "loss_e4"),
+        ] {
+            let err = parse_case(&line).expect_err(&line);
+            assert!(err.contains(field), "{line}: {err}");
+        }
+        // The largest loss below certainty still parses.
+        let edge = dumbbell.replace("loss_e4=20", "loss_e4=9999");
+        assert!(parse_case(&edge).is_ok(), "{edge}");
     }
 
     #[test]

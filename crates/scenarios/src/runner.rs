@@ -86,7 +86,7 @@ pub struct ExperimentSpec {
     /// observing a run must not change its seed or its physics.
     pub metrics: bool,
     /// Run with the engine's per-link detector tap enabled (streaming
-    /// detector feed; see `pdos_sim::tap`). The tap bins at the spec's
+    /// detector feed; see `pdos_sim::observe`). The tap bins at the spec's
     /// `trace_bin` width when set, else at the 100 ms detector default.
     /// Like `checks`/`metrics`, deliberately **not** part of
     /// [`ExperimentSpec::stable_hash`] — tapping a run must not change

@@ -7,13 +7,16 @@
 //! sender invariants reuse the same [`Violation`] vocabulary (see
 //! `pdos-tcp`).
 //!
-//! Checks are compiled in unconditionally but cost a single branch per
-//! event until [`crate::engine::Simulator::enable_checks`] turns them on —
+//! Checks are compiled in unconditionally and ride the engine's one
+//! observer path ([`crate::observe`]), costing a single branch per hook
+//! site until [`crate::engine::Simulator::enable_checks`] turns them on —
 //! the "cheap flag" contract: production sweeps run with checks enabled at
 //! negligible cost, and a violation is recorded (with sim-time and entity
 //! id) instead of aborting the run, so harnesses can collect and report
 //! every breach.
 
+use crate::link::Link;
+use crate::queue::RedQueue;
 use crate::time::SimTime;
 use std::fmt;
 
@@ -105,6 +108,61 @@ impl CheckState {
             self.violations.push(v);
         } else {
             self.truncated += 1;
+        }
+    }
+
+    /// Audits one link's invariants after it processed a packet: packet
+    /// conservation, queue occupancy, and (for RED queues) the
+    /// monotonicity of the drop probability in the average queue.
+    pub(crate) fn audit_link(&mut self, link: &Link, now: SimTime) {
+        for v in link.audit(now) {
+            self.record(v);
+        }
+        let Some(red) = link.queue().as_any().downcast_ref::<RedQueue>() else {
+            return;
+        };
+        let i = link.id().index();
+        let avg = red.avg_queue();
+        let pb = red.drop_probability();
+        if !pb.is_finite() || !(0.0..=1.0).contains(&pb) {
+            self.record(Violation {
+                at: now,
+                entity: link.id().to_string(),
+                kind: ViolationKind::RedDropProbability,
+                detail: format!("drop probability {pb} outside [0, 1] at avg {avg}"),
+            });
+        }
+        if let Some((prev_avg, prev_pb)) = self.red_last[i] {
+            const EPS: f64 = 1e-12;
+            let opposed = (avg > prev_avg + EPS && pb < prev_pb - EPS)
+                || (avg < prev_avg - EPS && pb > prev_pb + EPS);
+            if opposed {
+                self.record(Violation {
+                    at: now,
+                    entity: link.id().to_string(),
+                    kind: ViolationKind::RedDropProbability,
+                    detail: format!(
+                        "drop probability moved {prev_pb} -> {pb} while avg moved \
+                         {prev_avg} -> {avg}"
+                    ),
+                });
+            }
+        }
+        self.red_last[i] = Some((avg, pb));
+    }
+
+    /// Moves the violations recorded by each shard's checker (in shard
+    /// order) into this one, globally ordered by (time, shard id) so the
+    /// merged list is deterministic.
+    pub(crate) fn absorb<'a>(&mut self, shards: impl Iterator<Item = &'a mut CheckState>) {
+        let mut batch: Vec<(usize, Violation)> = Vec::new();
+        for (i, checks) in shards.enumerate() {
+            self.truncated += std::mem::take(&mut checks.truncated);
+            batch.extend(checks.violations.drain(..).map(|v| (i, v)));
+        }
+        batch.sort_by(|a, b| a.1.at.cmp(&b.1.at).then(a.0.cmp(&b.0)));
+        for (_, v) in batch {
+            self.record(v);
         }
     }
 }

@@ -2,17 +2,17 @@
 //! queue, and advances simulated time.
 
 use crate::agent::{Agent, AgentCtx, AgentId, Effect};
-use crate::check::{CheckState, Violation, ViolationKind};
+use crate::check::{CheckState, Violation};
 use crate::event::{Event, EventQueue, TimerHandle};
 use crate::fnv::FnvHashMap;
 use crate::link::{Link, LinkAccept, LinkId};
 use crate::metrics::EngineMetrics;
 use crate::node::{Node, NodeId};
+use crate::observe::Observers;
 use crate::packet::{FlowId, Packet, PacketArena};
-use crate::profile::{ProfileSnapshot, Profiler};
+use crate::profile::ProfileSnapshot;
 use crate::routing::RoutingTable;
 use crate::shard::{merge_outboxes, CrossPacket, ShardMembership, ShardPlan};
-use crate::tap::DetectorTap;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{RateTrace, TraceFilter, TraceId};
 
@@ -114,25 +114,16 @@ pub struct Simulator {
     /// point binding per flow, so million-flow lookups touch a handful of
     /// cache-hot range records rather than a DRAM-sized hash table.
     flow_ranges: Vec<Vec<FlowRange>>,
-    traces: Vec<RateTrace>,
-    link_traces: Vec<Vec<TraceId>>,
-    drops_by_flow: FnvHashMap<FlowId, u64>,
     /// In-flight packets, parked here while their `Deliver` event is
     /// pending so the event itself carries only a small handle.
     arena: PacketArena,
     next_uid: u64,
     stats: SimStats,
     effects_scratch: Vec<Effect>,
-    /// Runtime invariant checkers; `None` (the default) costs one branch
-    /// per event.
-    checks: Option<Box<CheckState>>,
-    /// Observability layer; `None` (the default) costs one branch per
-    /// event, exactly like `checks`.
-    metrics: Option<Box<EngineMetrics>>,
-    profiler: Option<Box<Profiler>>,
-    /// Per-link detector tap feeding streaming detectors; `None` (the
-    /// default) costs one branch per forwarded packet.
-    tap: Option<Box<DetectorTap>>,
+    /// Every read-only instrument — traces, tap, checkers, metrics,
+    /// profiler (see [`crate::observe`]); `None` (the default) costs one
+    /// branch per hook site.
+    observers: Option<Box<Observers>>,
     /// Shard identity when this simulator is one shard of a larger
     /// sharded run (set by `enable_sharding` on the sub-simulators);
     /// `None` for standalone simulators.
@@ -219,7 +210,6 @@ impl std::fmt::Debug for Simulator {
 
 impl Simulator {
     pub(crate) fn from_parts(nodes: Vec<Node>, links: Vec<Link>, routing: RoutingTable) -> Self {
-        let n_links = links.len();
         let n_nodes = nodes.len();
         Simulator {
             clock: SimTime::ZERO,
@@ -230,19 +220,34 @@ impl Simulator {
             agents: Vec::new(),
             bindings: FnvHashMap::default(),
             flow_ranges: vec![Vec::new(); n_nodes],
-            traces: Vec::new(),
-            link_traces: vec![Vec::new(); n_links],
-            drops_by_flow: FnvHashMap::default(),
             arena: PacketArena::new(),
             next_uid: 1,
             stats: SimStats::default(),
             effects_scratch: Vec::new(),
-            checks: None,
-            metrics: None,
-            profiler: None,
-            tap: None,
+            observers: None,
             shard_ctx: None,
             sharding: None,
+        }
+    }
+
+    /// Arms one instrument on this simulator's observer set and on every
+    /// shard's (a sharded run observes inside its shards).
+    fn arm(&mut self, arm: fn(&mut Observers, &[Link])) {
+        arm(self.observers.get_or_insert_default(), &self.links);
+        for shard in self.shards_mut() {
+            shard.arm(arm);
+        }
+    }
+
+    /// The shards of a sharded run, in shard order (empty otherwise).
+    fn shards(&self) -> &[Simulator] {
+        self.sharding.as_deref().map_or(&[], |rt| &rt.shards)
+    }
+
+    fn shards_mut(&mut self) -> &mut [Simulator] {
+        match self.sharding.as_deref_mut() {
+            Some(rt) => &mut rt.shards,
+            None => &mut [],
         }
     }
 
@@ -254,19 +259,9 @@ impl Simulator {
     /// recorded — with sim-time and entity id — instead of panicking, and
     /// read back with [`Simulator::violations`].
     pub fn enable_checks(&mut self) {
-        if self.checks.is_none() {
-            self.checks = Some(Box::new(CheckState::new(self.links.len())));
-        }
-        if let Some(rt) = self.sharding.as_deref_mut() {
-            for shard in rt.shards.iter_mut() {
-                shard.enable_checks();
-            }
-        }
-    }
-
-    /// Whether [`Simulator::enable_checks`] was called.
-    pub fn checks_enabled(&self) -> bool {
-        self.checks.is_some()
+        self.arm(|o, links| {
+            o.checks.get_or_insert_with(|| CheckState::new(links.len()));
+        });
     }
 
     /// Turns on the observability layer (see [`crate::metrics`]).
@@ -278,32 +273,9 @@ impl Simulator {
     /// Metrics are read-only with respect to the simulation: an enabled
     /// run is event-for-event identical to a disabled one.
     pub fn enable_metrics(&mut self) {
-        if self.metrics.is_none() {
-            self.metrics = Some(Box::new(EngineMetrics::new(&self.links)));
-        }
-        if let Some(rt) = self.sharding.as_deref_mut() {
-            for shard in rt.shards.iter_mut() {
-                shard.enable_metrics();
-            }
-        }
-    }
-
-    /// Builder-style [`Simulator::enable_metrics`].
-    #[must_use]
-    pub fn with_metrics(mut self) -> Self {
-        self.enable_metrics();
-        self
-    }
-
-    /// Whether [`Simulator::enable_metrics`] was called.
-    pub fn metrics_enabled(&self) -> bool {
-        self.metrics.is_some()
-    }
-
-    /// The metrics registry, for recording additional scopes (phase
-    /// timers, post-run exports). `None` while metrics are disabled.
-    pub fn metrics_registry_mut(&mut self) -> Option<&mut pdos_metrics::MetricsRegistry> {
-        self.metrics.as_deref_mut().map(EngineMetrics::registry_mut)
+        self.arm(|o, links| {
+            o.metrics.get_or_insert_with(|| EngineMetrics::new(links));
+        });
     }
 
     /// Snapshots every engine metric, finalizing time-weighted gauges at
@@ -315,12 +287,15 @@ impl Simulator {
     /// exercised by exactly one shard.
     pub fn metrics_snapshot(&mut self) -> Option<pdos_metrics::MetricsSnapshot> {
         let now = self.clock;
-        let mut snap = self.metrics.as_deref_mut().map(|m| m.snapshot(now))?;
-        if let Some(rt) = self.sharding.as_deref_mut() {
-            for shard in rt.shards.iter_mut() {
-                if let Some(sub) = shard.metrics_snapshot() {
-                    snap.merge(&sub);
-                }
+        let mut snap = self
+            .observers
+            .as_deref_mut()?
+            .metrics
+            .as_mut()?
+            .snapshot(now);
+        for shard in self.shards_mut() {
+            if let Some(sub) = shard.metrics_snapshot() {
+                snap.merge(&sub);
             }
         }
         Some(snap)
@@ -331,22 +306,12 @@ impl Simulator {
     /// and (when an allocation probe is registered) handler allocations.
     /// Profiling is read-only with respect to the simulation — an armed
     /// run is event-for-event identical to a disabled one — and costs
-    /// nothing until armed: the disabled loop pays one `Option`
-    /// discriminant test per event.
+    /// nothing until armed: wall-clock reads happen only while a profiler
+    /// is armed.
     pub fn enable_profiler(&mut self) {
-        if self.profiler.is_none() {
-            self.profiler = Some(Box::new(Profiler::new()));
-        }
-        if let Some(rt) = self.sharding.as_deref_mut() {
-            for shard in rt.shards.iter_mut() {
-                shard.enable_profiler();
-            }
-        }
-    }
-
-    /// Whether [`Simulator::enable_profiler`] was called.
-    pub fn profiler_enabled(&self) -> bool {
-        self.profiler.is_some()
+        self.arm(|o, _| {
+            o.profiler.get_or_insert_default();
+        });
     }
 
     /// The accumulated per-event-type breakdown, `None` while the
@@ -354,73 +319,51 @@ impl Simulator {
     /// are summed — every event is dispatched by exactly one shard, so
     /// the merged counts equal the unsharded run's.
     pub fn profile_snapshot(&self) -> Option<ProfileSnapshot> {
-        let mut snap = self.profiler.as_deref().map(Profiler::snapshot)?;
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                if let Some(sub) = shard.profile_snapshot() {
-                    snap.merge(&sub);
-                }
+        let mut snap = self.observers.as_deref()?.profiler?;
+        for shard in self.shards() {
+            if let Some(sub) = shard.profile_snapshot() {
+                snap.merge(&sub);
             }
         }
         Some(snap)
     }
 
-    /// Turns on the per-link detector tap (see [`crate::tap`]).
-    ///
-    /// From this point on, every packet *offered* to any link adds its
-    /// bytes to that link's fixed-width bin — the same instrument as a
-    /// [`TraceFilter::All`] trace, recorded at the same hook site. The
-    /// tap is read-only with respect to the simulation: an enabled run
-    /// is event-for-event identical to a disabled one (golden digests
-    /// unchanged). Calling again with a different bin width is a no-op.
+    /// Turns on the per-link detector tap (see [`crate::observe`]): one
+    /// [`TraceFilter::All`] trace per link, registered like
+    /// [`Simulator::trace_link_ingress`], so every packet *offered* to a
+    /// link adds its bytes to that link's fixed-width bin. The tap is
+    /// read-only with respect to the simulation: an enabled run is
+    /// event-for-event identical to a disabled one (golden digests
+    /// unchanged). Calling again, with any bin width, is a no-op.
     pub fn enable_tap(&mut self, bin: SimDuration) {
-        if self.tap.is_none() {
-            self.tap = Some(Box::new(DetectorTap::new(&self.links, bin)));
+        if self.observers.as_deref().is_some_and(|o| !o.tap.is_empty()) {
+            return;
         }
-        if let Some(rt) = self.sharding.as_deref_mut() {
-            for shard in rt.shards.iter_mut() {
-                shard.enable_tap(bin);
-            }
-        }
+        let tap = (0..self.links.len() as u32)
+            .map(|i| self.trace_link_ingress(LinkId::from_u32(i), TraceFilter::All, bin))
+            .collect();
+        self.observers.get_or_insert_default().tap = tap;
     }
 
-    /// Whether [`Simulator::enable_tap`] was called.
-    pub fn tap_enabled(&self) -> bool {
-        self.tap.is_some()
-    }
-
-    /// The detector tap, for reading per-link bins off a finished run.
-    /// `None` while the tap is disabled.
-    ///
-    /// On a sharded run this returns shard 0's tap — valid for bin-width
-    /// inspection, but per-link bins live on the link's owning shard;
-    /// use [`Simulator::tap_bins`], which routes to the owner.
-    pub fn tap(&self) -> Option<&DetectorTap> {
-        if let Some(rt) = self.sharding.as_deref() {
-            return rt.shards.first().and_then(Simulator::tap);
-        }
-        self.tap.as_deref()
-    }
-
-    /// Offered bytes per bin on `link`, in time order. `None` while the
-    /// tap is disabled.
+    /// Offered bytes per bin on `link`, in time order — the tap's trace
+    /// for that link. `None` while the tap is disabled.
     pub fn tap_bins(&self, link: LinkId) -> Option<&[u64]> {
-        if let Some(rt) = self.sharding.as_deref() {
-            return rt.shards[rt.link_owner[link.index()]].tap_bins(link);
-        }
-        self.tap.as_deref().map(|t| t.bins(link))
+        let id = *self.observers.as_deref()?.tap.get(link.index())?;
+        Some(self.trace(id).bytes_per_bin())
     }
 
     /// Invariant violations recorded so far (empty when checks are off).
     pub fn violations(&self) -> &[Violation] {
-        self.checks
-            .as_deref()
-            .map_or(&[], |c| c.violations.as_slice())
+        self.checks().map_or(&[], |c| c.violations.as_slice())
     }
 
     /// Violations beyond the recording cap, counted but not stored.
     pub fn violations_truncated(&self) -> u64 {
-        self.checks.as_deref().map_or(0, |c| c.truncated)
+        self.checks().map_or(0, |c| c.truncated)
+    }
+
+    fn checks(&self) -> Option<&CheckState> {
+        self.observers.as_deref()?.checks.as_ref()
     }
 
     /// Current simulation time.
@@ -433,10 +376,8 @@ impl Simulator {
     /// unsharded run's counters).
     pub fn stats(&self) -> SimStats {
         let mut stats = self.stats;
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                stats.add(shard.stats());
-            }
+        for shard in self.shards() {
+            stats.add(shard.stats());
         }
         stats
     }
@@ -467,17 +408,6 @@ impl Simulator {
     /// The routing table in force.
     pub fn routing(&self) -> &RoutingTable {
         &self.routing
-    }
-
-    /// Packets dropped so far that belonged to `flow`.
-    pub fn drops_for_flow(&self, flow: FlowId) -> u64 {
-        let mut drops = self.drops_by_flow.get(&flow).copied().unwrap_or(0);
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                drops += shard.drops_for_flow(flow);
-            }
-        }
-        drops
     }
 
     /// Attaches `agent` to `node` and schedules its [`Agent::start`] at
@@ -635,10 +565,9 @@ impl Simulator {
             rt.trace_map.push((owner, local));
             return id;
         }
-        let id = TraceId::from_u32(self.traces.len() as u32);
-        self.traces.push(RateTrace::new(link, filter, bin));
-        self.link_traces[link.index()].push(id);
-        id
+        self.observers
+            .get_or_insert_default()
+            .add_trace(RateTrace::new(link, filter, bin))
     }
 
     /// Reads a trace back.
@@ -651,7 +580,8 @@ impl Simulator {
             let (s, local) = rt.trace_map[id.index()];
             return rt.shards[s].trace(local);
         }
-        &self.traces[id.index()]
+        let observers = self.observers.as_deref();
+        &observers.expect("no trace registered").traces[id.index()]
     }
 
     /// Downcasts an agent for post-run inspection.
@@ -715,19 +645,14 @@ impl Simulator {
     /// Dispatches one already-popped event.
     #[inline]
     fn process(&mut self, at: SimTime, event: Event) {
-        if at < self.clock {
-            match self.checks.as_deref_mut() {
-                Some(checks) => checks.record(Violation {
-                    at: self.clock,
-                    entity: "engine".into(),
-                    kind: ViolationKind::ClockRegression,
-                    detail: format!("popped event scheduled at {at} behind clock {}", self.clock),
-                }),
-                None => {
-                    debug_assert!(false, "event in the past: {at} < {}", self.clock);
-                }
+        // An event behind the clock is a regression the checkers record.
+        let start = match self.observers.as_deref_mut() {
+            Some(observers) => observers.on_pop(self.clock, at, &event),
+            None => {
+                debug_assert!(at >= self.clock, "event in the past: {at} < {}", self.clock);
+                None
             }
-        }
+        };
         // Never move the clock backwards: a corrupted event timestamp is
         // recorded above but must not propagate regressions downstream.
         self.clock = self.clock.max(at);
@@ -735,12 +660,6 @@ impl Simulator {
         // its tie-break key (see `EventQueue::set_now`).
         self.events.set_now(self.clock);
         self.stats.events += 1;
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.on_pop(&event);
-        }
-        // Sample the profiler clocks only while armed, so the disabled
-        // path pays exactly this one discriminant test.
-        let prof = self.profiler.is_some().then(|| Profiler::begin(&event));
         match event {
             Event::Deliver { node, packet } => {
                 let packet = self.arena.take(packet);
@@ -750,22 +669,15 @@ impl Simulator {
             Event::Timer { agent, token } => self.dispatch_timer(agent, token),
             Event::AgentStart { agent } => self.dispatch_start(agent),
         }
-        if let Some(start) = prof {
-            if let Some(p) = self.profiler.as_deref_mut() {
-                p.record(start);
-            }
+        if let (Some(start), Some(observers)) = (start, self.observers.as_deref_mut()) {
+            observers.on_dispatched(start);
         }
     }
 
     /// Number of events still pending (summed across shards when sharded).
     pub fn pending_events(&self) -> usize {
-        let mut pending = self.events.len();
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                pending += shard.pending_events();
-            }
-        }
-        pending
+        let shards: usize = self.shards().iter().map(Simulator::pending_events).sum();
+        self.events.len() + shards
     }
 
     fn handle_arrival(&mut self, node: NodeId, packet: Packet) {
@@ -790,11 +702,8 @@ impl Simulator {
             self.stats.routeless += 1;
             return;
         };
-        for &tid in &self.link_traces[link_id.index()] {
-            self.traces[tid.index()].record(self.clock, &packet);
-        }
-        if let Some(tap) = self.tap.as_deref_mut() {
-            tap.record(link_id, self.clock, &packet);
+        if let Some(observers) = self.observers.as_deref_mut() {
+            observers.on_offer(link_id, self.clock, &packet);
         }
         let link = &mut self.links[link_id.index()];
         let accepted = match link.accept(packet, self.clock) {
@@ -810,15 +719,11 @@ impl Simulator {
             }
             LinkAccept::Dropped => {
                 self.stats.queue_drops += 1;
-                *self.drops_by_flow.entry(packet.flow).or_insert(0) += 1;
                 false
             }
         };
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.on_accept(&self.links[link_id.index()], accepted, self.clock);
-        }
-        if self.checks.is_some() {
-            self.audit_link(link_id);
+        if let Some(observers) = self.observers.as_deref_mut() {
+            observers.on_accept(&self.links[link_id.index()], accepted, self.clock);
         }
     }
 
@@ -858,58 +763,8 @@ impl Simulator {
                 },
             );
         }
-        if let Some(m) = self.metrics.as_deref_mut() {
-            m.on_tx_done(&self.links[link_id.index()], self.clock);
-        }
-        if self.checks.is_some() {
-            self.audit_link(link_id);
-        }
-    }
-
-    /// Audits one link's invariants after it processed a packet: packet
-    /// conservation, queue occupancy, and (for RED queues) the
-    /// monotonicity of the drop probability in the average queue.
-    fn audit_link(&mut self, link_id: LinkId) {
-        let Some(checks) = self.checks.as_deref_mut() else {
-            return;
-        };
-        let link = &self.links[link_id.index()];
-        let now = self.clock;
-        for v in link.audit(now) {
-            checks.record(v);
-        }
-        if let Some(red) = link
-            .queue()
-            .as_any()
-            .downcast_ref::<crate::queue::RedQueue>()
-        {
-            let avg = red.avg_queue();
-            let pb = red.drop_probability();
-            if !pb.is_finite() || !(0.0..=1.0).contains(&pb) {
-                checks.record(Violation {
-                    at: now,
-                    entity: link_id.to_string(),
-                    kind: ViolationKind::RedDropProbability,
-                    detail: format!("drop probability {pb} outside [0, 1] at avg {avg}"),
-                });
-            }
-            if let Some((prev_avg, prev_pb)) = checks.red_last[link_id.index()] {
-                const EPS: f64 = 1e-12;
-                let opposed = (avg > prev_avg + EPS && pb < prev_pb - EPS)
-                    || (avg < prev_avg - EPS && pb > prev_pb + EPS);
-                if opposed {
-                    checks.record(Violation {
-                        at: now,
-                        entity: link_id.to_string(),
-                        kind: ViolationKind::RedDropProbability,
-                        detail: format!(
-                            "drop probability moved {prev_pb} -> {pb} while avg moved \
-                             {prev_avg} -> {avg}"
-                        ),
-                    });
-                }
-            }
-            checks.red_last[link_id.index()] = Some((avg, pb));
+        if let Some(observers) = self.observers.as_deref_mut() {
+            observers.on_tx_done(&self.links[link_id.index()], self.clock);
         }
     }
 
@@ -960,7 +815,10 @@ impl Simulator {
                 .agents
                 .iter()
                 .all(|s| s.timers.is_empty() && s.timer_spill.is_empty())
-            && self.traces.iter().all(|t| t.n_bins() == 0)
+            && self
+                .observers
+                .as_deref()
+                .is_none_or(|o| o.traces.iter().all(|t| t.n_bins() == 0))
             && self.links.iter().all(|l| l.try_clone().is_some());
         if !splittable {
             self.events.set_now(self.clock);
@@ -994,18 +852,10 @@ impl Simulator {
             }));
             sub.clock = self.clock;
             sub.events.set_now(self.clock);
-            if self.checks.is_some() {
-                sub.enable_checks();
-            }
-            if self.metrics.is_some() {
-                sub.enable_metrics();
-            }
-            if self.profiler.is_some() {
-                sub.enable_profiler();
-            }
-            if let Some(tap) = self.tap.as_deref() {
-                sub.enable_tap(tap.bin_width());
-            }
+            sub.observers = self
+                .observers
+                .as_deref()
+                .map(|o| Box::new(o.for_shard(&self.links)));
             sub_shards.push(sub);
         }
         // Migrate agents (with their pending starts), bindings and trace
@@ -1039,14 +889,19 @@ impl Simulator {
                 .events
                 .schedule(at, Event::AgentStart { agent: local });
         }
-        let traces = std::mem::take(&mut self.traces);
+        // Traces (the tap's included) keep their outer ids; the owning
+        // shard records them from here on.
+        let traces = self
+            .observers
+            .as_deref_mut()
+            .map(Observers::take_traces)
+            .unwrap_or_default();
         let mut trace_map = Vec::with_capacity(traces.len());
         for t in &traces {
             let owner = link_owner[t.link().index()];
             let local = sub_shards[owner].trace_link_ingress(t.link(), t.filter(), t.bin_width());
             trace_map.push((owner, local));
         }
-        self.link_traces = vec![Vec::new(); self.links.len()];
         self.events.set_now(self.clock);
         self.sharding = Some(Box::new(ShardRuntime {
             plan,
@@ -1284,23 +1139,18 @@ impl Simulator {
     }
 
     /// Moves violations recorded inside the shards up into the outer
-    /// checker, globally ordered by (time, shard id) so the merged list
-    /// is deterministic.
+    /// checker (see [`CheckState::absorb`]).
     fn collect_shard_violations(&mut self, rt: &mut ShardRuntime) {
-        let Some(outer) = self.checks.as_deref_mut() else {
-            return;
-        };
-        let mut batch: Vec<(usize, Violation)> = Vec::new();
-        for (i, shard) in rt.shards.iter_mut().enumerate() {
-            if let Some(checks) = shard.checks.as_deref_mut() {
-                outer.truncated += checks.truncated;
-                checks.truncated = 0;
-                batch.extend(checks.violations.drain(..).map(|v| (i, v)));
-            }
-        }
-        batch.sort_by(|a, b| a.1.at.cmp(&b.1.at).then(a.0.cmp(&b.0)));
-        for (_, v) in batch {
-            outer.record(v);
+        if let Some(outer) = self
+            .observers
+            .as_deref_mut()
+            .and_then(|o| o.checks.as_mut())
+        {
+            outer.absorb(
+                rt.shards
+                    .iter_mut()
+                    .filter_map(|s| s.observers.as_deref_mut()?.checks.as_mut()),
+            );
         }
     }
 
@@ -1443,10 +1293,10 @@ impl Simulator {
     /// The checkpoint captures everything the event loop reads: the clock,
     /// both event-wheel tiers (including the shared tie-break sequence
     /// counter and the timer slab's generation state), the packet arena,
-    /// every link's queue/transmitter/RNG/counter state, routing, traces,
-    /// per-flow drop counts, agent state machines (via
-    /// [`Agent::clone_box`]) with their live timer tables, and the
-    /// checker/metrics layers. A simulator resumed with
+    /// every link's queue/transmitter/RNG/counter state, routing, agent
+    /// state machines (via [`Agent::clone_box`]) with their live timer
+    /// tables, and the observer set (traces, tap, checkers, metrics,
+    /// profiler). A simulator resumed with
     /// [`Simulator::fork`] therefore processes the byte-identical event
     /// sequence a cold run would.
     ///
@@ -1511,17 +1361,11 @@ impl Simulator {
             agents,
             bindings: self.bindings.clone(),
             flow_ranges: self.flow_ranges.clone(),
-            traces: self.traces.clone(),
-            link_traces: self.link_traces.clone(),
-            drops_by_flow: self.drops_by_flow.clone(),
             arena: self.arena.clone(),
             next_uid: self.next_uid,
             stats: self.stats,
             effects_scratch: Vec::new(),
-            checks: self.checks.clone(),
-            metrics: self.metrics.clone(),
-            profiler: self.profiler.clone(),
-            tap: self.tap.clone(),
+            observers: self.observers.clone(),
             shard_ctx: self.shard_ctx.clone(),
             sharding,
         })
@@ -1541,7 +1385,7 @@ impl Simulator {
         for link in &self.links {
             bytes += size_of::<Link>() + link.backlog_packets() * size_of::<Packet>();
         }
-        for trace in &self.traces {
+        for trace in self.observers.iter().flat_map(|o| &o.traces) {
             bytes += trace.n_bins() * size_of::<u64>();
         }
         for slot in &self.agents {
@@ -1554,13 +1398,12 @@ impl Simulator {
             .iter()
             .map(|v| v.len() * size_of::<FlowRange>())
             .sum::<usize>();
-        bytes += self.drops_by_flow.len() * (size_of::<FlowId>() + size_of::<u64>());
-        if let Some(rt) = self.sharding.as_deref() {
-            for shard in &rt.shards {
-                bytes += shard.approx_heap_bytes();
-            }
-        }
         bytes
+            + self
+                .shards()
+                .iter()
+                .map(Simulator::approx_heap_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -1654,7 +1497,9 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::ViolationKind;
     use crate::packet::PacketKind;
+    use crate::profile::EVENT_KINDS;
     use crate::queue::QueueSpec;
     use crate::topology::TopologyBuilder;
     use crate::units::{BitsPerSec, Bytes};
@@ -1822,9 +1667,8 @@ mod tests {
         let counter = sim.attach_agent(b, Box::new(Counter::default()));
         sim.bind_flow(b, flow, counter);
         sim.run_until(SimTime::from_secs(1));
-        // 1 in flight + 2 queued survive the burst; 7 dropped.
+        // 1 in flight + 2 queued survive the burst; the one flow loses 7.
         assert_eq!(sim.stats().queue_drops, 7);
-        assert_eq!(sim.drops_for_flow(flow), 7);
         assert_eq!(sim.agent_as::<Counter>(counter).unwrap().received, 3);
     }
 
@@ -1973,7 +1817,6 @@ mod tests {
     fn checks_stay_clean_on_a_healthy_run() {
         let (mut sim, a, b) = two_hosts();
         sim.enable_checks();
-        assert!(sim.checks_enabled());
         sim.attach_agent(
             a,
             Box::new(Blaster {
@@ -2007,7 +1850,6 @@ mod tests {
             }),
         );
         sim.run_until(SimTime::from_secs(1));
-        assert!(!sim.checks_enabled());
         assert!(sim.violations().is_empty());
     }
 
@@ -2090,7 +1932,6 @@ mod tests {
     fn metrics_count_link_traffic_and_event_tiers() {
         let (mut sim, a, b) = two_hosts();
         sim.enable_metrics();
-        assert!(sim.metrics_enabled());
         let flow = FlowId::from_u32(1);
         sim.attach_agent(
             a,
@@ -2132,7 +1973,8 @@ mod tests {
             SimDuration::from_millis(1),
             QueueSpec::DropTail { capacity: 2 },
         );
-        let mut sim = t.build().unwrap().with_metrics();
+        let mut sim = t.build().unwrap();
+        sim.enable_metrics();
         let flow = FlowId::from_u32(1);
         sim.attach_agent(
             a,
@@ -2156,40 +1998,10 @@ mod tests {
     }
 
     #[test]
-    fn metrics_do_not_perturb_the_run() {
-        let run = |metered: bool| {
-            let (mut sim, a, b) = two_hosts();
-            if metered {
-                sim.enable_metrics();
-            }
-            let flow = FlowId::from_u32(1);
-            sim.attach_agent(
-                a,
-                Box::new(Blaster {
-                    dst: b,
-                    flow,
-                    count: 25,
-                    gap: SimDuration::from_micros(700),
-                    sent: 0,
-                }),
-            );
-            let counter = sim.attach_agent(b, Box::new(Counter::default()));
-            sim.bind_flow(b, flow, counter);
-            sim.run_until(SimTime::from_secs(1));
-            (
-                sim.stats(),
-                sim.agent_as::<Counter>(counter).unwrap().last_at,
-            )
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn tap_bins_match_an_all_filter_trace() {
         let (mut sim, a, b) = two_hosts();
         let bin = SimDuration::from_millis(10);
         sim.enable_tap(bin);
-        assert!(sim.tap_enabled());
         let flow = FlowId::from_u32(1);
         let trace = sim.trace_link_ingress(LinkId::from_u32(0), TraceFilter::All, bin);
         sim.attach_agent(
@@ -2210,42 +2022,12 @@ mod tests {
         let tap_bins = sim.tap_bins(LinkId::from_u32(0)).expect("tap is on");
         assert_eq!(tap_bins, sim.trace(trace).bytes_per_bin());
         assert!(tap_bins.iter().sum::<u64>() > 0);
-        assert_eq!(sim.tap().unwrap().bin_width(), bin);
         // The reverse (ACK-less) direction exists but saw no traffic.
         assert_eq!(
             sim.tap_bins(LinkId::from_u32(1)).unwrap().len(),
             0,
             "untouched link has no materialized bins"
         );
-    }
-
-    #[test]
-    fn tap_does_not_perturb_the_run() {
-        let run = |tapped: bool| {
-            let (mut sim, a, b) = two_hosts();
-            if tapped {
-                sim.enable_tap(SimDuration::from_millis(10));
-            }
-            let flow = FlowId::from_u32(1);
-            sim.attach_agent(
-                a,
-                Box::new(Blaster {
-                    dst: b,
-                    flow,
-                    count: 25,
-                    gap: SimDuration::from_micros(700),
-                    sent: 0,
-                }),
-            );
-            let counter = sim.attach_agent(b, Box::new(Counter::default()));
-            sim.bind_flow(b, flow, counter);
-            sim.run_until(SimTime::from_secs(1));
-            (
-                sim.stats(),
-                sim.agent_as::<Counter>(counter).unwrap().last_at,
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]
@@ -2438,25 +2220,49 @@ mod tests {
         (t.build().unwrap(), a, b)
     }
 
-    /// Everything [`cross_traffic_observables`] surfaces: stats, each
-    /// counter's `(seen, last_at)`, the trace bins, the tap bins, and
-    /// the effective shard count.
-    type CrossTrafficObservables = (
-        SimStats,
-        (u64, Option<SimTime>),
-        (u64, Option<SimTime>),
-        Vec<u64>,
-        Vec<u64>,
-        usize,
-    );
+    /// Observer-subset bits for [`cross_traffic_observables`].
+    const CHECKS: u8 = 1;
+    const METRICS: u8 = 2;
+    const TAP: u8 = 4;
+    const PROFILER: u8 = 8;
 
-    /// Bidirectional cross-cluster traffic with checks, tap and a trace
-    /// on the bottleneck; returns every observable surface for
-    /// sharded-vs-unsharded comparison.
-    fn cross_traffic_observables(shards: usize) -> CrossTrafficObservables {
+    /// Everything [`cross_traffic_observables`] surfaces: the physics
+    /// (stats, each counter's `(seen, last_at)`, the bottleneck trace's
+    /// bins), the effective shard count, and each observer's reading.
+    struct CrossTraffic {
+        stats: SimStats,
+        seen: [(u64, Option<SimTime>); 2],
+        trace: Vec<u64>,
+        shards: usize,
+        tap: Option<Vec<u64>>,
+        violations: Vec<Violation>,
+        metrics: Option<pdos_metrics::MetricsSnapshot>,
+        profile: Option<ProfileSnapshot>,
+    }
+
+    /// Bidirectional cross-cluster traffic with a trace on the
+    /// bottleneck, observed by the `observe` subset of {checks, metrics,
+    /// tap, profiler} — armed before the shard split, or after it when
+    /// `late` — on `shards` requested shards.
+    fn cross_traffic_observables(shards: usize, observe: u8, late: bool) -> CrossTraffic {
+        let arm = |sim: &mut Simulator| {
+            if observe & CHECKS != 0 {
+                sim.enable_checks();
+            }
+            if observe & METRICS != 0 {
+                sim.enable_metrics();
+            }
+            if observe & TAP != 0 {
+                sim.enable_tap(SimDuration::from_millis(25));
+            }
+            if observe & PROFILER != 0 {
+                sim.enable_profiler();
+            }
+        };
         let (mut sim, a, b) = two_clusters();
-        sim.enable_checks();
-        sim.enable_tap(SimDuration::from_millis(25));
+        if !late {
+            arm(&mut sim);
+        }
         let (f1, f2) = (FlowId::from_u32(1), FlowId::from_u32(2));
         sim.attach_agent(
             a,
@@ -2485,40 +2291,100 @@ mod tests {
         let bottleneck = LinkId::from_u32(2); // r1 -> r2
         let tr = sim.trace_link_ingress(bottleneck, TraceFilter::All, SimDuration::from_millis(25));
         let effective = sim.enable_sharding(shards);
+        if late {
+            arm(&mut sim);
+        }
         // Two run_until calls so cross-shard packets straddling the first
         // horizon must survive between runs.
         sim.run_until(SimTime::from_millis(300));
         sim.run_until(SimTime::from_millis(600));
-        assert!(
-            sim.violations().is_empty(),
-            "healthy run flagged: {:?}",
-            sim.violations()
-        );
         let seen = |id| {
             let c = sim.agent_as::<Counter>(id).unwrap();
             (c.received, c.last_at)
         };
-        (
-            sim.stats(),
-            seen(ca),
-            seen(cb),
-            sim.trace(tr).bytes_per_bin().to_vec(),
-            sim.tap_bins(bottleneck).unwrap().to_vec(),
-            effective,
-        )
+        CrossTraffic {
+            stats: sim.stats(),
+            seen: [seen(ca), seen(cb)],
+            trace: sim.trace(tr).bytes_per_bin().to_vec(),
+            shards: effective,
+            tap: sim.tap_bins(bottleneck).map(<[u64]>::to_vec),
+            violations: sim.violations().to_vec(),
+            metrics: sim.metrics_snapshot(),
+            profile: sim.profile_snapshot(),
+        }
+    }
+
+    /// Runs one leg of the neutrality matrix — the `observe` subset armed
+    /// before the split, or after it when `late`, on `shards` requested
+    /// shards — and asserts it reproduces `base`, the unobserved
+    /// single-shard run, and that each armed observer really observed it.
+    fn assert_leg_reproduces(base: &CrossTraffic, shards: usize, observe: u8, late: bool) {
+        let leg = cross_traffic_observables(shards, observe, late);
+        let at = format!("observers {observe:04b} (late: {late}) at {shards} shards");
+        assert_eq!(
+            leg.shards, shards,
+            "4-node topology supports up to 4 shards"
+        );
+        assert_eq!(leg.stats, base.stats, "stats diverge: {at}");
+        assert_eq!(leg.seen, base.seen, "counters diverge: {at}");
+        assert_eq!(leg.trace, base.trace, "trace bins diverge: {at}");
+        // The tap's bottleneck trace is an All trace at the caller's bin
+        // width: equal to it at every shard count.
+        let tap = (observe & TAP != 0).then(|| base.trace.clone());
+        assert_eq!(leg.tap, tap, "tap bins diverge: {at}");
+        assert!(leg.violations.is_empty(), "{at}: {:?}", leg.violations);
+        assert_eq!(leg.metrics.is_some(), observe & METRICS != 0, "{at}");
+        if let Some(m) = &leg.metrics {
+            let pops = m.counter("engine", "pops_packet_tier").unwrap()
+                + m.counter("engine", "pops_timer_tier").unwrap();
+            assert_eq!(pops, leg.stats.events, "every pop counted once: {at}");
+        }
+        // A disabled profiler reports nothing; an armed one accounts for
+        // exactly the events the engine processed.
+        assert_eq!(leg.profile.is_some(), observe & PROFILER != 0, "{at}");
+        if let Some(p) = &leg.profile {
+            assert_eq!(p.total_events(), leg.stats.events, "{at}");
+            let deliver = EVENT_KINDS.iter().position(|&k| k == "deliver").unwrap();
+            assert!(p.kinds[deliver].count > 0, "no deliveries profiled: {at}");
+        }
+    }
+
+    /// The unobserved single-shard run every matrix leg must reproduce.
+    fn unobserved_base() -> CrossTraffic {
+        let base = cross_traffic_observables(1, 0, false);
+        assert!(base.trace.iter().sum::<u64>() > 0);
+        base
+    }
+
+    /// The engine-level neutrality matrix: every subset of the observer
+    /// set, armed before or after the split, at 1, 2 and 4 shards.
+    #[test]
+    fn every_observer_subset_reproduces_the_unobserved_run_at_every_shard_count() {
+        let base = unobserved_base();
+        for shards in [1, 2, 4] {
+            for observe in 0..16 {
+                for late in [false, true] {
+                    assert_leg_reproduces(&base, shards, observe, late);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn metrics_do_not_perturb_the_run() {
+        assert_leg_reproduces(&unobserved_base(), 1, METRICS, false);
+    }
+
+    #[test]
+    fn tap_does_not_perturb_the_run() {
+        assert_leg_reproduces(&unobserved_base(), 1, TAP, false);
     }
 
     #[test]
     fn sharded_run_is_bit_identical_to_unsharded() {
-        let base = cross_traffic_observables(1);
+        let base = unobserved_base();
         for shards in [2, 4] {
-            let sharded = cross_traffic_observables(shards);
-            assert_eq!(sharded.5, shards, "4-node topology supports up to 4 shards");
-            assert_eq!(base.0, sharded.0, "stats diverge at {shards} shards");
-            assert_eq!(base.1, sharded.1);
-            assert_eq!(base.2, sharded.2);
-            assert_eq!(base.3, sharded.3, "trace bins diverge");
-            assert_eq!(base.4, sharded.4, "tap bins diverge");
+            assert_leg_reproduces(&base, shards, CHECKS | TAP, false);
         }
     }
 
@@ -2579,7 +2445,7 @@ mod tests {
         assert_eq!(sim.stats().delivered, 5);
         assert_eq!(sim.now(), SimTime::from_millis(500));
         assert_eq!(sim.pending_events(), 0);
-        assert_eq!(sim.drops_for_flow(flow), 0);
+        assert_eq!(sim.stats().queue_drops, 0);
     }
 
     #[test]

@@ -45,12 +45,12 @@ pub mod fnv;
 pub mod link;
 pub mod metrics;
 pub mod node;
+pub mod observe;
 pub mod packet;
 pub mod profile;
 pub mod queue;
 pub mod routing;
 pub mod shard;
-pub mod tap;
 pub mod time;
 pub mod topology;
 pub mod trace;
@@ -66,7 +66,6 @@ pub mod prelude {
     pub use crate::packet::{FlowId, Packet, PacketKind};
     pub use crate::queue::{AccConfig, QueueSpec, RedConfig};
     pub use crate::shard::ShardPlan;
-    pub use crate::tap::DetectorTap;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::TopologyBuilder;
     pub use crate::trace::{TraceFilter, TraceId};

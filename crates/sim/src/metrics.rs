@@ -1,9 +1,9 @@
 //! Engine-side metrics: dense per-link instrumentation over
 //! [`pdos_metrics::MetricsRegistry`].
 //!
-//! Mirrors the invariant checkers' cost model (`checks:
-//! Option<Box<CheckState>>`): the simulator holds `Option<Box<EngineMetrics>>`,
-//! so a run without metrics pays one branch per event and nothing else.
+//! One instrument of the engine's observer set ([`crate::observe`]), so
+//! a run without metrics pays nothing beyond the set's one branch per
+//! hook site.
 //! All `(scope, name)` interning happens once at enable time; hot-path
 //! updates are indexed writes through pre-resolved [`MetricId`]s.
 //!
@@ -140,11 +140,6 @@ impl EngineMetrics {
     pub(crate) fn on_tx_done(&mut self, link: &Link, now: SimTime) {
         self.registry.inc(self.dequeued[link.id().index()], 1);
         self.touch_link(link, now);
-    }
-
-    /// The underlying registry (for caller-supplied phase profiling).
-    pub(crate) fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
     }
 
     /// Finalizes gauges at `now` and snapshots every metric.

@@ -12,12 +12,12 @@
 //! Two invariants, both tested:
 //!
 //! * **Hash-neutral**: profiling only *reads* the run. Enabling it must
-//!   not change a single event, packet, or digest — the same contract
-//!   the metrics and tap layers honour.
-//! * **Zero-overhead when disabled**: the loop pays one `Option`
-//!   discriminant test per event and nothing else, exactly like the
-//!   disabled metrics path. Wall-clock reads (`Instant::now`) happen
-//!   only while a profiler is armed.
+//!   not change a single event, packet, or digest — the contract every
+//!   instrument of the observer set ([`crate::observe`]) honours.
+//! * **Zero-overhead when disabled**: the profiler rides the observer
+//!   set, which costs one branch per hook site when nothing is armed.
+//!   Wall-clock reads (`Instant::now`) happen only while a profiler is
+//!   armed.
 //!
 //! The wall and allocation readings are *measurements* of the host, not
 //! of the simulation: they vary run to run and never feed back into the
@@ -141,25 +141,15 @@ impl ProfileSnapshot {
     }
 }
 
-/// The live profiler: a [`ProfileSnapshot`] under accumulation.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Profiler {
-    snapshot: ProfileSnapshot,
-}
-
 /// Readings taken just before an event handler runs, consumed by
-/// [`Profiler::record`] right after it returns.
+/// [`ProfileSnapshot::record`] right after it returns.
 pub(crate) struct EventStart {
     kind: usize,
     t0: Instant,
     allocs0: Option<(u64, u64)>,
 }
 
-impl Profiler {
-    pub(crate) fn new() -> Profiler {
-        Profiler::default()
-    }
-
+impl EventStart {
     /// Samples the clocks for one event about to be dispatched.
     pub(crate) fn begin(event: &Event) -> EventStart {
         EventStart {
@@ -168,20 +158,19 @@ impl Profiler {
             allocs0: sample_allocs(),
         }
     }
+}
 
-    /// Folds one dispatched event into the breakdown.
+impl ProfileSnapshot {
+    /// Folds one dispatched event into the breakdown (the armed profiler
+    /// is a snapshot under accumulation).
     pub(crate) fn record(&mut self, start: EventStart) {
-        let k = &mut self.snapshot.kinds[start.kind];
+        let k = &mut self.kinds[start.kind];
         k.count += 1;
         k.wall_nanos += start.t0.elapsed().as_nanos() as u64;
         if let (Some((a0, b0)), Some((a1, b1))) = (start.allocs0, sample_allocs()) {
             k.allocations += a1.saturating_sub(a0);
             k.alloc_bytes += b1.saturating_sub(b0);
         }
-    }
-
-    pub(crate) fn snapshot(&self) -> ProfileSnapshot {
-        self.snapshot
     }
 }
 
