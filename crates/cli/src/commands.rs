@@ -8,12 +8,12 @@ use pdos_analysis::optimize::{plan_for_degradation, solve};
 use pdos_analysis::sensitivity::parameter_what_if;
 use pdos_attack::pulse::PulseTrain;
 use pdos_conformance::{OracleConfig, GOLDEN_FILE};
-use pdos_detect::cusum::CusumDetector;
+use pdos_detect::cusum::{dispersion, CusumDetector};
 use pdos_detect::rate::RateDetector;
 use pdos_detect::roc::{auc, roc_curve};
 use pdos_detect::spectral::SpectralDetector;
 use pdos_detect::streaming::{
-    alarm_stream_json, Alarm, StreamingCusum, StreamingDetector, StreamingRate, StreamingSpectral,
+    alarm_stream_json, Alarm, StreamingCusum, StreamingRate, StreamingSpectral,
 };
 use pdos_scenarios::classify::{GainClass, CLASS_MARGIN};
 use pdos_scenarios::experiment::gamma_grid;
@@ -185,20 +185,41 @@ fn queue_of(args: &Args) -> Result<BottleneckQueue, ArgError> {
     }
 }
 
+/// The unit a numeric option is given in; [`positive`] converts
+/// milliseconds to seconds and megabits to bits per second.
+#[derive(Debug, Clone, Copy)]
+enum Unit {
+    Secs,
+    Millis,
+    Mbps,
+}
+
 /// Reads a numeric option that sizes a duration, a rate or a bin (`None`
-/// makes it required). This is the one range check for such options:
-/// zero, negative and non-finite values are rejected here, because they
-/// would otherwise reach asserting constructors or divide by zero.
-fn positive(args: &Args, key: &str, default: Option<f64>) -> Result<f64, ArgError> {
+/// makes it required) and converts it from `unit` to seconds or bits per
+/// second. This is the one range check for such options: zero, negative
+/// and non-finite values are rejected here, before and after the
+/// conversion, because they would otherwise reach asserting constructors
+/// or divide by zero.
+fn positive(args: &Args, key: &str, default: Option<f64>, unit: Unit) -> Result<f64, ArgError> {
     let value = match default {
         Some(d) => args.num(key, d)?,
         None => args.require_num(key)?,
     };
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
+    if !(value.is_finite() && value > 0.0) {
+        return Err(ArgError(format!(
+            "--{key} must be a finite positive number; got {value}"
+        )));
+    }
+    let converted = match unit {
+        Unit::Secs => value,
+        Unit::Millis => value / 1000.0,
+        Unit::Mbps => value * 1e6,
+    };
+    if converted.is_finite() && converted > 0.0 {
+        Ok(converted)
     } else {
         Err(ArgError(format!(
-            "--{key} must be a finite positive number; got {value}"
+            "--{key} {value:e} is out of range once converted from {unit:?}"
         )))
     }
 }
@@ -208,23 +229,32 @@ fn positive(args: &Args, key: &str, default: Option<f64>) -> Result<f64, ArgErro
 /// nanoseconds would reach the trace's asserting constructor, so it is
 /// rejected here.
 fn bin_width(args: &Args) -> Result<SimDuration, ArgError> {
-    let ms = positive(args, "bin-ms", Some(100.0))?;
-    let bin = SimDuration::from_secs_f64(ms / 1000.0);
+    let bin = SimDuration::from_secs_f64(positive(args, "bin-ms", Some(100.0), Unit::Millis)?);
     if bin.is_zero() {
         return Err(ArgError(format!(
-            "--bin-ms {ms} rounds to a zero-width bin; the resolution is 1 ns (1e-6 ms)"
+            "--bin-ms {} rounds to a zero-width bin; the resolution is 1 ns (1e-6 ms)",
+            args.get("bin-ms").unwrap_or_default()
         )));
     }
     Ok(bin)
 }
 
+/// Reads `--flows`, the victim count: an empty victim set would reach the
+/// scenario builder's and the model's assertions, so zero is rejected.
+fn flows_of(args: &Args, default: usize) -> Result<usize, ArgError> {
+    match args.num("flows", default)? {
+        0 => Err(ArgError("--flows must be at least 1; got 0".into())),
+        n => Ok(n),
+    }
+}
+
 fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> {
     let mut spec = if args.flag("testbed") {
         let mut s = ScenarioSpec::testbed();
-        s.n_flows = args.num("flows", s.n_flows)?;
+        s.n_flows = flows_of(args, s.n_flows)?;
         s
     } else {
-        ScenarioSpec::ns2_dumbbell(args.num("flows", default_flows)?)
+        ScenarioSpec::ns2_dumbbell(flows_of(args, default_flows)?)
     };
     spec.queue = queue_of(args)?;
     spec.seed = args.num("seed", 1u64)?;
@@ -240,9 +270,9 @@ fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> 
 
 /// `pdos solve`.
 pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
-    let flows: usize = args.num("flows", 25)?;
-    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
-    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
+    let flows = flows_of(args, 25)?;
+    let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
     let kappa: f64 = args.num("kappa", 1.0)?;
     let risk = RiskPreference::new(kappa).map_err(ArgError)?;
     let victims = ScenarioSpec::ns2_dumbbell(flows).victims();
@@ -298,10 +328,10 @@ pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
 /// path, traced when `--trace-out` is given.
 pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     let spec = spec_of(args, 15)?;
-    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
-    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
+    let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
     let gamma: f64 = args.num("gamma", 0.3)?;
-    let window = positive(args, "window-s", Some(30.0))?;
+    let window = positive(args, "window-s", Some(30.0), Unit::Secs)?;
     let mut run = ExperimentSpec::attacked(
         "simulate",
         spec,
@@ -379,10 +409,10 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
         return cmd_sweep_figure(args);
     }
     let spec = spec_of(args, 15)?;
-    let t_extent = positive(args, "textent-ms", Some(75.0))? / 1000.0;
-    let r_attack = positive(args, "rattack-mbps", Some(30.0))? * 1e6;
+    let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
+    let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
     let points: usize = args.num("points", 8)?;
-    let window = positive(args, "window-s", Some(30.0))?;
+    let window = positive(args, "window-s", Some(30.0), Unit::Secs)?;
     let jobs: usize = args.num("jobs", 0)?;
     let shards: usize = args.num("shards", 1)?;
     if points < 2 {
@@ -609,7 +639,7 @@ fn cmd_sweep_roc(args: &Args) -> Result<String, ArgError> {
         trace.iter().any(|&b| s.push(b).is_some())
     });
     let cusum_points = roc_curve(&benign, &attacked, &ROC_CUSUM_THRESHOLDS, |th, trace| {
-        let dispersion: Vec<u64> = trace.windows(2).map(|w| w[0].abs_diff(w[1])).collect();
+        let dispersion = dispersion(trace);
         let calib = (dispersion.len() / 2).max(2);
         let mut s = StreamingCusum::new(calib, 0.5, th);
         dispersion.iter().any(|&b| s.push(b).is_some())
@@ -1217,15 +1247,15 @@ pub fn cmd_bench(args: &Args) -> Result<String, ArgError> {
 pub fn cmd_sync(args: &Args) -> Result<String, ArgError> {
     let spec = spec_of(args, 12)?;
     let t_extent_ms: u64 = args.num("textent-ms", 50)?;
-    let r_attack = positive(args, "rattack-mbps", Some(100.0))?;
-    let period_s: f64 = args.num("period-s", 2.0)?;
+    let r_attack = positive(args, "rattack-mbps", Some(100.0), Unit::Mbps)?;
+    let period_s = positive(args, "period-s", Some(2.0), Unit::Secs)?;
     let window: u64 = args.num("window-s", 30)?;
     let period = SimDuration::from_secs_f64(period_s);
     let extent = SimDuration::from_millis(t_extent_ms);
     if period <= extent {
         return Err(ArgError("--period-s must exceed --textent-ms".into()));
     }
-    let train = PulseTrain::new(extent, BitsPerSec::from_mbps(r_attack), period - extent)
+    let train = PulseTrain::new(extent, BitsPerSec::from_bps(r_attack), period - extent)
         .map_err(|e| ArgError(e.to_string()))?;
     let result = SyncExperiment::new(spec)
         .warmup(SimDuration::from_secs(8))
@@ -1254,7 +1284,7 @@ pub fn cmd_detect(args: &Args) -> Result<String, ArgError> {
     let path = args
         .get("csv")
         .ok_or_else(|| ArgError("missing required option --csv".into()))?;
-    let capacity = positive(args, "capacity-mbps", None)? * 1e6;
+    let capacity = positive(args, "capacity-mbps", None, Unit::Mbps)?;
     let bin_secs = bin_width(args)?.as_secs_f64();
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
@@ -1320,7 +1350,7 @@ pub fn detect_report(bytes: &[u64], capacity_bps: f64, bin_secs: f64) -> String 
     // successive-difference dispersion (spikiness: pulsing attacks).
     let calib = (bytes.len() / 4).clamp(2, 100);
     let on_mean = CusumDetector::new(calib, 0.5, 8.0).scan(bytes);
-    let dispersion: Vec<u64> = bytes.windows(2).map(|w| w[0].abs_diff(w[1])).collect();
+    let dispersion = dispersion(bytes);
     let on_dispersion = CusumDetector::new(
         calib.min(dispersion.len().saturating_sub(1).max(2)),
         0.5,
@@ -1373,7 +1403,7 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     let mut out = String::new();
 
     let runs: Vec<(String, Vec<Alarm>)> = if let Some(path) = args.get("replay") {
-        let capacity = positive(args, "capacity-mbps", None)? * 1e6;
+        let capacity = positive(args, "capacity-mbps", None, Unit::Mbps)?;
         let text = std::fs::read_to_string(path)
             .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
         let bytes = parse_trace(&text)?;
@@ -1614,6 +1644,21 @@ mod tests {
             (
                 "serve --scenario golden --bin-ms 1e-7".to_string(),
                 "--bin-ms",
+            ),
+            ("simulate --flows 0".to_string(), "--flows"),
+            ("sweep --flows 0 --points 2".to_string(), "--flows"),
+            ("sync --flows 0".to_string(), "--flows"),
+            ("solve --flows 0".to_string(), "--flows"),
+            ("sync --period-s nan".to_string(), "--period-s"),
+            ("sync --period-s -1".to_string(), "--period-s"),
+            ("sync --rattack-mbps 1e308".to_string(), "--rattack-mbps"),
+            (
+                format!("detect --csv {trace} --capacity-mbps 1e308"),
+                "--capacity-mbps",
+            ),
+            (
+                format!("serve --replay {trace} --capacity-mbps 1e308"),
+                "--capacity-mbps",
             ),
         ] {
             let err = run(&parse(&cmd)).expect_err(&cmd);
@@ -2147,6 +2192,57 @@ mod tests {
         assert!(served.contains("serve: replaying"), "{served}");
         assert!(served.contains("pdos-detect/1"), "{served}");
         assert!(served.contains("alarm(s) across 1 run(s)"), "{served}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The golden and fig06-smoke streams carry no alarms, so this trace
+    /// pins the exact alarm values: 500 bins of 100 ms on a 15 Mbps link,
+    /// quiet (bins 0–199), then pulses on two bins in every 25 (200–399),
+    /// then a flood (400–499), each bin plus the noise term
+    /// `(i·2654435761) mod 7`. Every streaming detector fires on it, and
+    /// every batch verdict of `detect` flips.
+    #[test]
+    fn serve_and_detect_pin_the_alarms_of_a_quiet_pulses_flood_trace() {
+        let text: String = (0..500usize)
+            .map(|i| {
+                let base = match i {
+                    0..=199 => 10_000,
+                    200..=399 if i % 25 < 2 => 150_000,
+                    200..=399 => 10_000,
+                    _ => 190_000,
+                };
+                format!("{}\n", base + (i * 2654435761) % 7)
+            })
+            .collect();
+        let path = std::env::temp_dir().join("pdos-cli-test-quiet-pulses-flood.txt");
+        std::fs::write(&path, text).unwrap();
+        let p = path.display();
+
+        let served = run(&parse(&format!("serve --replay {p} --capacity-mbps 15"))).unwrap();
+        assert_eq!(
+            served,
+            format!(
+                "serve: replaying 500 bins from {p}\n\
+                 {p}: cusum alarm at bin 200 (t=20.0 s, statistic 13995.616)\n\
+                 {p}: spectral alarm at bin 255 (t=25.5 s, statistic 17.604)\n\
+                 {p}: rate alarm at bin 446 (t=44.6 s, statistic 0.930)\n\
+                 serve: 3 alarm(s) across 1 run(s)\n\
+                 {{\"schema\":\"pdos-detect/1\",\"bin_secs\":0.1,\"runs\":[{{\"id\":\"{p}\",\"alarms\":[\
+                 {{\"detector\":\"cusum\",\"bin\":200,\"statistic\":13995.61616126778}},\
+                 {{\"detector\":\"spectral\",\"bin\":255,\"statistic\":17.603907929471113}},\
+                 {{\"detector\":\"rate\",\"bin\":446,\"statistic\":0.9299736854720556}}]}}]}}\n"
+            )
+        );
+
+        let detected = run(&parse(&format!("detect --csv {p} --capacity-mbps 15"))).unwrap();
+        assert_eq!(
+            detected,
+            "samples: 500 bins of 100 ms\n\
+             volume detector   : ALARM (final EWMA utilization 1.008)\n\
+             spectral detector : PERIODIC, dominant period ~ 16.60 s (power ratio 14.8)\n\
+             cusum (volume)    : CHANGE at ~20.0 s into the trace\n\
+             cusum (dispersion): CHANGE at ~19.9 s into the trace\n"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

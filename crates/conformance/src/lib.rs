@@ -15,8 +15,10 @@
 //!    through both the analytic gain model and the simulator, enforcing
 //!    the tolerance bands documented in EXPERIMENTS.md ([`bands`]).
 //! 4. **Detector equivalence** ([`equivalence`]) — canonical and
-//!    randomized traces scored by both the batch and the streaming
-//!    detectors, requiring bit-identical verdicts.
+//!    randomized traces pushed bin by bin through the streaming
+//!    detectors, whose alarms must agree bit for bit with the
+//!    whole-series verdict (the batch scorers are folds of the same
+//!    state machines).
 //! 5. **Shard equivalence** ([`sharding`]) — randomized topologies run
 //!    unsharded, sharded cold and sharded warm-started, requiring
 //!    digest-identical traces (see `docs/SHARDING.md`).

@@ -8,17 +8,20 @@
 //! bottleneck's binned byte counts, whose mean rises when attack traffic
 //! (or its retransmission fallout) joins the mix.
 
-use pdos_analysis::timeseries::{mean, std_dev};
+use crate::streaming::StreamingCusum;
 
 /// One-sided (upward) CUSUM detector with self-calibrated baseline.
-#[derive(Debug, Clone)]
+///
+/// This type holds the parameters; the recurrence itself runs in
+/// [`StreamingCusum`], and [`CusumDetector::scan`] is a fold of it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CusumDetector {
     /// Bins used to estimate the baseline mean and deviation.
-    calibration_bins: usize,
+    pub(crate) calibration_bins: usize,
     /// Slack in baseline standard deviations (the classic `k`).
-    slack_sigmas: f64,
+    pub(crate) slack_sigmas: f64,
     /// Alarm threshold in baseline standard deviations (the classic `h`).
-    threshold_sigmas: f64,
+    pub(crate) threshold_sigmas: f64,
 }
 
 /// Outcome of [`CusumDetector::scan`].
@@ -109,53 +112,25 @@ impl CusumDetector {
         self.calibration_bins + 1
     }
 
-    /// Scans a binned byte series. The first `calibration_bins` samples
-    /// define the baseline; scanning starts after them. A series that
-    /// ends inside the calibration window yields
-    /// [`CusumScan::TooFewBins`], not a quiet report.
+    /// Scans a binned byte series: a fold of [`StreamingCusum::push`]
+    /// over every bin. The first `calibration_bins` samples define the
+    /// baseline; scanning starts after them. A series that ends inside
+    /// the calibration window yields [`CusumScan::TooFewBins`], not a
+    /// quiet report.
     pub fn scan(&self, series: &[u64]) -> CusumScan {
-        if series.len() <= self.calibration_bins {
-            return CusumScan::TooFewBins {
-                needed: self.needed_bins(),
-                got: series.len(),
-            };
+        let mut cusum = StreamingCusum::from(self.clone());
+        for &b in series {
+            cusum.push(b);
         }
-        let calib: Vec<f64> = series[..self.calibration_bins]
-            .iter()
-            .map(|&b| b as f64)
-            .collect();
-        let mu = mean(&calib);
-        let sigma = std_dev(&calib).max(mu.abs() * 1e-3).max(1.0);
-        let k = self.slack_sigmas * sigma;
-        let h = self.threshold_sigmas * sigma;
-
-        let mut s = 0.0f64;
-        let mut peak = 0.0f64;
-        let mut last_zero = self.calibration_bins;
-        for (i, &b) in series.iter().enumerate().skip(self.calibration_bins) {
-            s = (s + (b as f64 - mu - k)).max(0.0);
-            if s == 0.0 {
-                last_zero = i;
-            }
-            if s > peak {
-                peak = s;
-            }
-            if s > h {
-                return CusumScan::Report(CusumReport {
-                    detected: true,
-                    alarm_bin: Some(i),
-                    onset_bin: Some(last_zero + 1),
-                    peak_sigmas: peak / sigma,
-                });
-            }
-        }
-        CusumScan::Report(CusumReport {
-            detected: false,
-            alarm_bin: None,
-            onset_bin: None,
-            peak_sigmas: peak / sigma,
-        })
+        cusum.scan()
     }
+}
+
+/// The bin-to-bin dispersion series `|x_{t+1} − x_t|`. Pulsing turns
+/// smooth traffic into spikes, so CUSUM on this series catches an
+/// attack whose mean volume barely moves.
+pub fn dispersion(series: &[u64]) -> Vec<u64> {
+    series.windows(2).map(|w| w[0].abs_diff(w[1])).collect()
 }
 
 #[cfg(test)]

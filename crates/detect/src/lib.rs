@@ -16,7 +16,12 @@
 //!   attack's *onset* in a binned trace;
 //! * [`defense::RandomizedRtoPolicy`] — the randomized-timeout defense,
 //!   including the analysis of why it stops shrew attacks but not
-//!   AIMD-based ones.
+//!   AIMD-based ones;
+//! * [`streaming`] — the CUSUM, rate and spectral detectors as online
+//!   state machines fed one bin at a time. Each statistic has one
+//!   implementation: [`cusum::CusumDetector::scan`] is a fold of
+//!   [`streaming::StreamingCusum`], and [`rate::RateDetector::run`] is a
+//!   fold of the `observe` step that [`streaming::StreamingRate`] wraps.
 //!
 //! ## Example
 //!
@@ -42,14 +47,13 @@ pub mod streaming;
 
 /// Convenient re-exports.
 pub mod prelude {
-    pub use crate::cusum::{CusumDetector, CusumReport, CusumScan};
+    pub use crate::cusum::{dispersion, CusumDetector, CusumReport, CusumScan};
     pub use crate::defense::RandomizedRtoPolicy;
     pub use crate::dtw::{dtw_distance, pulse_template, DtwPulseDetector, DtwReport};
     pub use crate::rate::{DetectionReport, DetectorConfigError, RateDetector};
     pub use crate::roc::{auc, roc_curve, RocPoint};
     pub use crate::spectral::{power_at_period, SpectralDetector, SpectralReport};
     pub use crate::streaming::{
-        alarm_stream_json, Alarm, CusumState, RateState, SpectralState, StreamingCusum,
-        StreamingDetector, StreamingRate, StreamingSpectral,
+        alarm_stream_json, Alarm, StreamingCusum, StreamingRate, StreamingSpectral,
     };
 }

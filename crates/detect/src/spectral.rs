@@ -35,7 +35,7 @@ pub fn power_at_period(series: &[f64], period: f64) -> f64 {
 }
 
 /// A periodogram sweep over integer candidate periods.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpectralDetector {
     min_period: usize,
     max_period: usize,

@@ -1,41 +1,32 @@
 //! Online (streaming) versions of the reference detectors.
 //!
-//! The batch detectors in [`crate::cusum`], [`crate::rate`], and
-//! [`crate::spectral`] score a complete recorded trace after the run.
-//! A defender service sees the trace one bin at a time, and a
-//! checkpoint-forked sweep needs detector state that forks with the
-//! simulation. Each streaming detector here is a small state machine:
+//! A defender service sees the trace one closed bin at a time. Each
+//! detector here is a small state machine whose `push` consumes one bin
+//! of bytes and returns [`Some(Alarm)`](Alarm) exactly once, on the bin
+//! where the detector first fires. All three derive `Clone` and
+//! `PartialEq`: a clone taken mid-stream and fed the rest of the series
+//! equals the detector that was never cloned, so detector state forks
+//! with the simulation that feeds it.
 //!
-//! * [`StreamingCusum::push`] / [`StreamingRate::push`] /
-//!   [`StreamingSpectral::push`] consume one closed bin of bytes and
-//!   return [`Some(Alarm)`](Alarm) exactly once, on the bin where the
-//!   detector first fires;
-//! * `snapshot()` / `restore()` expose the full detector state so a
-//!   detector survives a checkpoint fork byte-identically;
-//! * `fork()` clones the state machine mid-stream; two forks fed the
-//!   same suffix stay bit-identical;
-//! * `merge()` combines two same-lineage states (one a
-//!   prefix-continuation of the other — the shape produced by
-//!   checkpoint forking), adopting the further-advanced one.
+//! ## One implementation per statistic
 //!
-//! ## Equivalence contract
-//!
-//! `StreamingCusum` and `StreamingRate` are *exact* re-expressions of
-//! the batch math: feeding a series bin-by-bin and then calling
-//! [`StreamingCusum::scan`] (or [`StreamingRate::report`]) reproduces
-//! the batch verdict, onset bin, and peak statistic bit-for-bit. The
-//! conformance crate pins this on the canonical golden scenarios plus
-//! 50 seeded-random ones. `StreamingSpectral` evaluates a *sliding
-//! window* rather than the whole series, so it intentionally differs
-//! from a whole-series [`SpectralDetector::sweep`]; its contract is
-//! that each windowed evaluation equals a batch sweep of exactly that
-//! window (see `docs/DETECTION.md`).
+//! [`StreamingCusum::push`] is the only implementation of the CUSUM
+//! calibration and recurrence: [`CusumDetector::scan`] is a fold of it.
+//! [`StreamingRate`] is an alarm edge around [`RateDetector::observe`],
+//! and [`RateDetector::run`] is a fold of `observe`. So feeding a series
+//! bin by bin and then calling [`StreamingCusum::scan`] (or
+//! [`StreamingRate::report`]) reproduces the batch verdict by
+//! construction. `StreamingSpectral` evaluates a *sliding window* rather
+//! than the whole series, so it intentionally differs from a
+//! whole-series [`SpectralDetector::sweep`]; its contract is that each
+//! windowed evaluation equals a batch sweep of exactly that window (see
+//! `docs/DETECTION.md`).
 
 use std::collections::VecDeque;
 
 use pdos_analysis::timeseries::{mean, std_dev};
 
-use crate::cusum::{CusumReport, CusumScan};
+use crate::cusum::{CusumDetector, CusumReport, CusumScan};
 use crate::rate::{DetectionReport, RateDetector};
 use crate::spectral::{SpectralDetector, SpectralReport};
 
@@ -52,22 +43,35 @@ pub struct Alarm {
     pub statistic: f64,
 }
 
-/// Common interface over the three streaming detectors, for callers
-/// that fan a bin stream across a heterogeneous detector bank.
-pub trait StreamingDetector {
-    /// Stable label used in alarm streams.
-    fn label(&self) -> &'static str;
-    /// Consumes one closed bin of observed bytes.
-    fn push(&mut self, bytes: u64) -> Option<Alarm>;
-    /// Bins consumed so far.
-    fn bins_seen(&self) -> usize;
-}
-
 // ---------------------------------------------------------------------------
 // CUSUM
 // ---------------------------------------------------------------------------
 
-/// Baseline statistics fixed once the calibration window closes.
+/// Online one-sided CUSUM over a [`CusumDetector`]'s parameters.
+///
+/// The first `calibration_bins` pushes only accumulate the baseline.
+/// The next push fixes `mu` and `sigma` and starts the recurrence
+/// `S_t = max(0, S_{t-1} + (x_t − mu − k))`. Once `S_t` crosses `h` the
+/// verdict freezes: later bins cannot change it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamingCusum {
+    det: CusumDetector,
+    bins_seen: usize,
+    phase: CusumPhase,
+}
+
+/// Where a [`StreamingCusum`] is in its stream.
+#[derive(Debug, Clone, PartialEq)]
+enum CusumPhase {
+    /// Collecting the baseline bins.
+    Calibrating(Vec<u64>),
+    /// Baseline fixed, recurrence running.
+    Armed(ArmedCusum),
+    /// Frozen at the first threshold crossing.
+    Alarmed(CusumReport),
+}
+
+/// The baseline statistics and the running recurrence.
 #[derive(Debug, Clone, PartialEq)]
 struct ArmedCusum {
     mu: f64,
@@ -79,169 +83,48 @@ struct ArmedCusum {
     last_zero: usize,
 }
 
-/// The alarm record frozen at the first threshold crossing (mirrors the
-/// batch scan's early return).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CusumAlarmMark {
-    alarm_bin: usize,
-    onset_bin: usize,
-    peak_sigmas: f64,
-}
-
-/// Complete state of a [`StreamingCusum`], snapshot/restorable so the
-/// detector survives a checkpoint fork.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CusumState {
-    calib: Vec<u64>,
-    armed: Option<ArmedCusum>,
-    bins_seen: usize,
-    alarm: Option<CusumAlarmMark>,
-}
-
-/// Online one-sided CUSUM: bit-for-bit equivalent to
-/// [`crate::cusum::CusumDetector::scan`] over the pushed prefix.
-///
-/// The first `calibration_bins` pushes only accumulate the baseline;
-/// the detector arms on the next push (computing `mu`/`sigma` with the
-/// same [`mean`]/[`std_dev`] calls as the batch scan, on the same `f64`
-/// conversion, so the floating-point results are identical) and then
-/// runs the identical recurrence. Once the alarm fires the statistic
-/// freezes, exactly like the batch scan's early return.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StreamingCusum {
-    calibration_bins: usize,
-    slack_sigmas: f64,
-    threshold_sigmas: f64,
-    state: CusumState,
+impl From<CusumDetector> for StreamingCusum {
+    fn from(det: CusumDetector) -> Self {
+        StreamingCusum {
+            det,
+            bins_seen: 0,
+            phase: CusumPhase::Calibrating(Vec::new()),
+        }
+    }
 }
 
 impl StreamingCusum {
-    /// Creates a streaming detector with the same parameters (and the
-    /// same panics) as [`crate::cusum::CusumDetector::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calibration_bins < 2`, or if the slack/threshold are
-    /// non-positive.
+    /// Creates a streaming detector with the parameters (and the panics)
+    /// of [`CusumDetector::new`].
     pub fn new(calibration_bins: usize, slack_sigmas: f64, threshold_sigmas: f64) -> Self {
-        assert!(calibration_bins >= 2, "need at least 2 calibration bins");
-        assert!(slack_sigmas > 0.0, "slack must be positive");
-        assert!(threshold_sigmas > 0.0, "threshold must be positive");
-        StreamingCusum {
-            calibration_bins,
-            slack_sigmas,
-            threshold_sigmas,
-            state: CusumState {
-                calib: Vec::new(),
-                armed: None,
-                bins_seen: 0,
-                alarm: None,
-            },
-        }
+        CusumDetector::new(calibration_bins, slack_sigmas, threshold_sigmas).into()
     }
 
-    /// The conventional setting, mirroring
-    /// [`crate::cusum::CusumDetector::conventional`].
-    pub fn conventional() -> Self {
-        Self::new(50, 0.5, 8.0)
-    }
-
-    /// Bins required before the first sample can be scanned.
-    pub fn needed_bins(&self) -> usize {
-        self.calibration_bins + 1
-    }
-
-    /// Snapshot of the full detector state.
-    pub fn snapshot(&self) -> CusumState {
-        self.state.clone()
-    }
-
-    /// Restores a previously snapshot state.
-    pub fn restore(&mut self, state: CusumState) {
-        self.state = state;
-    }
-
-    /// Forks the detector mid-stream; the fork and the original evolve
-    /// identically when fed the same suffix.
-    pub fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    /// Merges a same-lineage peer (one of the two states must be a
-    /// prefix-continuation of the other, the shape checkpoint forking
-    /// produces): adopts whichever has consumed more bins, which also
-    /// carries the earliest alarm on that lineage.
-    pub fn merge(&mut self, other: &Self) {
-        if other.state.bins_seen > self.state.bins_seen {
-            self.state = other.state.clone();
-        }
-    }
-
-    /// Batch scan of everything pushed so far: equals
-    /// `CusumDetector::scan` on the same prefix, bit for bit.
-    pub fn scan(&self) -> CusumScan {
-        if self.state.bins_seen <= self.calibration_bins {
-            return CusumScan::TooFewBins {
-                needed: self.needed_bins(),
-                got: self.state.bins_seen,
-            };
-        }
-        if let Some(mark) = &self.state.alarm {
-            return CusumScan::Report(CusumReport {
-                detected: true,
-                alarm_bin: Some(mark.alarm_bin),
-                onset_bin: Some(mark.onset_bin),
-                peak_sigmas: mark.peak_sigmas,
-            });
-        }
-        let armed = self
-            .state
-            .armed
-            .as_ref()
-            .expect("armed once past calibration");
-        CusumScan::Report(CusumReport {
-            detected: false,
-            alarm_bin: None,
-            onset_bin: None,
-            peak_sigmas: armed.peak / armed.sigma,
-        })
-    }
-}
-
-impl StreamingDetector for StreamingCusum {
-    fn label(&self) -> &'static str {
-        "cusum"
-    }
-
-    fn push(&mut self, bytes: u64) -> Option<Alarm> {
-        let i = self.state.bins_seen;
-        self.state.bins_seen += 1;
-        if self.state.alarm.is_some() {
-            // Frozen: the batch scan early-returns at the alarm bin, so
-            // later bins cannot change the verdict.
-            return None;
-        }
-        if i < self.calibration_bins {
-            self.state.calib.push(bytes);
-            return None;
-        }
-        if self.state.armed.is_none() {
-            // Arm with the exact batch-scan arithmetic: same f64
-            // conversion, same mean/std_dev calls, same clamps.
-            let calib: Vec<f64> = self.state.calib.iter().map(|&b| b as f64).collect();
+    /// Consumes one closed bin of observed bytes.
+    pub fn push(&mut self, bytes: u64) -> Option<Alarm> {
+        let i = self.bins_seen;
+        self.bins_seen += 1;
+        if let CusumPhase::Calibrating(calib) = &mut self.phase {
+            if i < self.det.calibration_bins {
+                calib.push(bytes);
+                return None;
+            }
+            let calib: Vec<f64> = calib.iter().map(|&b| b as f64).collect();
             let mu = mean(&calib);
             let sigma = std_dev(&calib).max(mu.abs() * 1e-3).max(1.0);
-            self.state.armed = Some(ArmedCusum {
+            self.phase = CusumPhase::Armed(ArmedCusum {
                 mu,
                 sigma,
-                k: self.slack_sigmas * sigma,
-                h: self.threshold_sigmas * sigma,
+                k: self.det.slack_sigmas * sigma,
+                h: self.det.threshold_sigmas * sigma,
                 s: 0.0,
                 peak: 0.0,
-                last_zero: self.calibration_bins,
+                last_zero: self.det.calibration_bins,
             });
         }
-        let armed = self.state.armed.as_mut().expect("just armed");
+        let CusumPhase::Armed(armed) = &mut self.phase else {
+            return None; // alarmed: the verdict is frozen
+        };
         armed.s = (armed.s + (bytes as f64 - armed.mu - armed.k)).max(0.0);
         if armed.s == 0.0 {
             armed.last_zero = i;
@@ -250,23 +133,39 @@ impl StreamingDetector for StreamingCusum {
             armed.peak = armed.s;
         }
         if armed.s > armed.h {
-            let mark = CusumAlarmMark {
-                alarm_bin: i,
-                onset_bin: armed.last_zero + 1,
+            let report = CusumReport {
+                detected: true,
+                alarm_bin: Some(i),
+                onset_bin: Some(armed.last_zero + 1),
                 peak_sigmas: armed.peak / armed.sigma,
             };
-            self.state.alarm = Some(mark);
-            return Some(Alarm {
+            let alarm = Alarm {
                 detector: "cusum",
                 bin: i,
-                statistic: mark.peak_sigmas,
-            });
+                statistic: report.peak_sigmas,
+            };
+            self.phase = CusumPhase::Alarmed(report);
+            return Some(alarm);
         }
         None
     }
 
-    fn bins_seen(&self) -> usize {
-        self.state.bins_seen
+    /// The verdict on everything pushed so far. [`CusumDetector::scan`]
+    /// of the same bins returns exactly this.
+    pub fn scan(&self) -> CusumScan {
+        match &self.phase {
+            CusumPhase::Calibrating(_) => CusumScan::TooFewBins {
+                needed: self.det.needed_bins(),
+                got: self.bins_seen,
+            },
+            CusumPhase::Armed(armed) => CusumScan::Report(CusumReport {
+                detected: false,
+                alarm_bin: None,
+                onset_bin: None,
+                peak_sigmas: armed.peak / armed.sigma,
+            }),
+            CusumPhase::Alarmed(report) => CusumScan::Report(report.clone()),
+        }
     }
 }
 
@@ -274,14 +173,8 @@ impl StreamingDetector for StreamingCusum {
 // Rate
 // ---------------------------------------------------------------------------
 
-/// Complete state of a [`StreamingRate`]: the EWMA detector itself is
-/// already an incremental state machine, so the state wraps it whole.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateState(RateDetector);
-
-/// Online EWMA-utilization detector: a thin alarm-edge wrapper around
-/// [`RateDetector::observe`], so equivalence with the batch
-/// [`RateDetector::run`] is exact by construction.
+/// Online EWMA-utilization detector: the alarm edge of
+/// [`RateDetector::observe`], of which [`RateDetector::run`] is a fold.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingRate {
     det: RateDetector,
@@ -303,47 +196,8 @@ impl StreamingRate {
         Self::new(RateDetector::conventional(capacity_bps, bin_secs))
     }
 
-    /// Current EWMA utilization.
-    pub fn utilization(&self) -> f64 {
-        self.det.utilization()
-    }
-
-    /// The report for everything pushed so far: equals
-    /// `RateDetector::run` on the same prefix, bit for bit.
-    pub fn report(&self) -> DetectionReport {
-        self.det.report()
-    }
-
-    /// Snapshot of the full detector state.
-    pub fn snapshot(&self) -> RateState {
-        RateState(self.det.clone())
-    }
-
-    /// Restores a previously snapshot state.
-    pub fn restore(&mut self, state: RateState) {
-        self.det = state.0;
-    }
-
-    /// Forks the detector mid-stream.
-    pub fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    /// Merges a same-lineage peer: adopts whichever has consumed more
-    /// bins (see [`StreamingCusum::merge`]).
-    pub fn merge(&mut self, other: &Self) {
-        if other.report().total_bins > self.report().total_bins {
-            self.det = other.det.clone();
-        }
-    }
-}
-
-impl StreamingDetector for StreamingRate {
-    fn label(&self) -> &'static str {
-        "rate"
-    }
-
-    fn push(&mut self, bytes: u64) -> Option<Alarm> {
+    /// Consumes one closed bin of observed bytes.
+    pub fn push(&mut self, bytes: u64) -> Option<Alarm> {
         let had_alarm = self.det.report().first_alarm_bin.is_some();
         let alarm_now = self.det.observe(bytes);
         if alarm_now && !had_alarm {
@@ -357,24 +211,16 @@ impl StreamingDetector for StreamingRate {
         None
     }
 
-    fn bins_seen(&self) -> usize {
-        self.det.report().total_bins
+    /// The report for everything pushed so far: equals
+    /// `RateDetector::run` on the same bins.
+    pub fn report(&self) -> DetectionReport {
+        self.det.report()
     }
 }
 
 // ---------------------------------------------------------------------------
 // Spectral
 // ---------------------------------------------------------------------------
-
-/// Complete state of a [`StreamingSpectral`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpectralState {
-    buf: VecDeque<u64>,
-    bins_seen: usize,
-    since_eval: usize,
-    alarm: Option<(usize, f64)>,
-    last: Option<SpectralReport>,
-}
 
 /// Windowed online periodogram: keeps the last `window` bins and runs a
 /// full [`SpectralDetector::sweep`] over them every `stride` pushes
@@ -385,12 +231,16 @@ pub struct SpectralState {
 /// online defender cannot hold the whole run, and the attack's period
 /// is stationary within a window). The documented contract is that
 /// each evaluation equals a batch sweep of exactly the buffered window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingSpectral {
     det: SpectralDetector,
     window: usize,
     stride: usize,
-    state: SpectralState,
+    buf: VecDeque<u64>,
+    bins_seen: usize,
+    since_eval: usize,
+    alarmed: bool,
+    last: Option<SpectralReport>,
 }
 
 impl StreamingSpectral {
@@ -407,13 +257,11 @@ impl StreamingSpectral {
             det,
             window,
             stride,
-            state: SpectralState {
-                buf: VecDeque::with_capacity(window),
-                bins_seen: 0,
-                since_eval: 0,
-                alarm: None,
-                last: None,
-            },
+            buf: VecDeque::with_capacity(window),
+            bins_seen: 0,
+            since_eval: 0,
+            alarmed: false,
+            last: None,
         }
     }
 
@@ -424,63 +272,30 @@ impl StreamingSpectral {
         Self::new(SpectralDetector::new(10, 80, 15.0), 128, 16)
     }
 
-    /// The most recent windowed sweep, if the window has filled.
-    pub fn last_report(&self) -> Option<&SpectralReport> {
-        self.state.last.as_ref()
-    }
-
-    /// Snapshot of the full detector state.
-    pub fn snapshot(&self) -> SpectralState {
-        self.state.clone()
-    }
-
-    /// Restores a previously snapshot state.
-    pub fn restore(&mut self, state: SpectralState) {
-        self.state = state;
-    }
-
-    /// Forks the detector mid-stream.
-    pub fn fork(&self) -> Self {
-        self.clone()
-    }
-
-    /// Merges a same-lineage peer: adopts whichever has consumed more
-    /// bins (see [`StreamingCusum::merge`]).
-    pub fn merge(&mut self, other: &Self) {
-        if other.state.bins_seen > self.state.bins_seen {
-            self.state = other.state.clone();
+    /// Consumes one closed bin of observed bytes.
+    pub fn push(&mut self, bytes: u64) -> Option<Alarm> {
+        let i = self.bins_seen;
+        self.bins_seen += 1;
+        self.buf.push_back(bytes);
+        if self.buf.len() > self.window {
+            self.buf.pop_front();
         }
-    }
-}
-
-impl StreamingDetector for StreamingSpectral {
-    fn label(&self) -> &'static str {
-        "spectral"
-    }
-
-    fn push(&mut self, bytes: u64) -> Option<Alarm> {
-        let i = self.state.bins_seen;
-        self.state.bins_seen += 1;
-        self.state.buf.push_back(bytes);
-        if self.state.buf.len() > self.window {
-            self.state.buf.pop_front();
-        }
-        self.state.since_eval += 1;
-        if self.state.buf.len() < self.window || self.state.since_eval < self.stride {
+        self.since_eval += 1;
+        if self.buf.len() < self.window || self.since_eval < self.stride {
             return None;
         }
-        self.state.since_eval = 0;
-        let series: Vec<f64> = self.state.buf.iter().map(|&b| b as f64).collect();
+        self.since_eval = 0;
+        let series: Vec<f64> = self.buf.iter().map(|&b| b as f64).collect();
         let rep = self.det.sweep(&series);
-        let fire = rep.detected && self.state.alarm.is_none();
+        let fire = rep.detected && !self.alarmed;
         let ratio = if rep.median_power > 0.0 {
             rep.peak_power / rep.median_power
         } else {
             0.0
         };
-        self.state.last = Some(rep);
+        self.last = Some(rep);
         if fire {
-            self.state.alarm = Some((i, ratio));
+            self.alarmed = true;
             return Some(Alarm {
                 detector: "spectral",
                 bin: i,
@@ -490,8 +305,14 @@ impl StreamingDetector for StreamingSpectral {
         None
     }
 
-    fn bins_seen(&self) -> usize {
-        self.state.bins_seen
+    /// Bins consumed so far.
+    pub fn bins_seen(&self) -> usize {
+        self.bins_seen
+    }
+
+    /// The most recent windowed sweep, if the window has filled.
+    pub fn last_report(&self) -> Option<&SpectralReport> {
+        self.last.as_ref()
     }
 }
 
@@ -554,7 +375,6 @@ pub fn alarm_stream_json(runs: &[(String, Vec<Alarm>)], bin_secs: f64) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cusum::CusumDetector;
 
     fn step_series(n: usize, step_at: usize, base: u64, jump: u64) -> Vec<u64> {
         (0..n)
@@ -574,6 +394,84 @@ mod tests {
         (15e6 * 0.1 * frac / 8.0) as u64
     }
 
+    /// The straight-line CUSUM recurrence over a whole series, written
+    /// independently of [`StreamingCusum`] so that the fold
+    /// [`CusumDetector::scan`] is checked against something other than
+    /// itself.
+    fn reference_scan(
+        calibration_bins: usize,
+        slack_sigmas: f64,
+        threshold_sigmas: f64,
+        series: &[u64],
+    ) -> CusumScan {
+        if series.len() <= calibration_bins {
+            return CusumScan::TooFewBins {
+                needed: calibration_bins + 1,
+                got: series.len(),
+            };
+        }
+        let calib: Vec<f64> = series[..calibration_bins]
+            .iter()
+            .map(|&b| b as f64)
+            .collect();
+        let mu = mean(&calib);
+        let sigma = std_dev(&calib).max(mu.abs() * 1e-3).max(1.0);
+        let k = slack_sigmas * sigma;
+        let h = threshold_sigmas * sigma;
+
+        let mut s = 0.0f64;
+        let mut peak = 0.0f64;
+        let mut last_zero = calibration_bins;
+        for (i, &b) in series.iter().enumerate().skip(calibration_bins) {
+            s = (s + (b as f64 - mu - k)).max(0.0);
+            if s == 0.0 {
+                last_zero = i;
+            }
+            if s > peak {
+                peak = s;
+            }
+            if s > h {
+                return CusumScan::Report(CusumReport {
+                    detected: true,
+                    alarm_bin: Some(i),
+                    onset_bin: Some(last_zero + 1),
+                    peak_sigmas: peak / sigma,
+                });
+            }
+        }
+        CusumScan::Report(CusumReport {
+            detected: false,
+            alarm_bin: None,
+            onset_bin: None,
+            peak_sigmas: peak / sigma,
+        })
+    }
+
+    /// Asserts that `CusumDetector::scan` and a bin-by-bin
+    /// `StreamingCusum` both equal [`reference_scan`], `peak_sigmas`
+    /// included bit for bit.
+    fn assert_cusum_matches_reference(det: &CusumDetector, series: &[u64]) {
+        let reference = reference_scan(
+            det.calibration_bins,
+            det.slack_sigmas,
+            det.threshold_sigmas,
+            series,
+        );
+        let mut streaming = StreamingCusum::from(det.clone());
+        for &b in series {
+            streaming.push(b);
+        }
+        for got in [det.scan(series), streaming.scan()] {
+            assert_eq!(got, reference, "series len {}", series.len());
+            assert_eq!(
+                got.report().map(|r| r.peak_sigmas.to_bits()),
+                reference.report().map(|r| r.peak_sigmas.to_bits()),
+                "series len {}",
+                series.len()
+            );
+        }
+    }
+
     #[test]
     fn cusum_streaming_matches_batch_bit_for_bit() {
         for series in [
@@ -582,12 +480,7 @@ mod tests {
             step_series(40, 10, 1000, 500), // too few bins
             step_series(51, 0, 1000, 0),    // exactly one scanned bin
         ] {
-            let batch = CusumDetector::conventional().scan(&series);
-            let mut s = StreamingCusum::conventional();
-            for &b in &series {
-                s.push(b);
-            }
-            assert_eq!(s.scan(), batch, "series len {}", series.len());
+            assert_cusum_matches_reference(&CusumDetector::conventional(), &series);
         }
     }
 
@@ -598,7 +491,7 @@ mod tests {
             .scan(&series)
             .into_report()
             .expect("calibrated");
-        let mut s = StreamingCusum::conventional();
+        let mut s = StreamingCusum::from(CusumDetector::conventional());
         let alarms: Vec<Alarm> = series.iter().filter_map(|&b| s.push(b)).collect();
         assert_eq!(alarms.len(), 1);
         assert_eq!(Some(alarms[0].bin), batch.alarm_bin);
@@ -607,7 +500,7 @@ mod tests {
 
     #[test]
     fn cusum_scan_reports_too_few_bins_through_calibration() {
-        let mut s = StreamingCusum::conventional();
+        let mut s = StreamingCusum::from(CusumDetector::conventional());
         for i in 0..50 {
             s.push(1000);
             assert_eq!(
@@ -678,24 +571,24 @@ mod tests {
         assert_eq!(s.bins_seen(), 400);
     }
 
+    /// A clone taken mid-stream and fed the rest of the series equals the
+    /// detector that was never cloned.
     #[test]
     fn merge_adopts_the_further_advanced_lineage() {
         let series = step_series(300, 120, 1000, 200);
-        let mut a = StreamingCusum::conventional();
+        let mut straight = StreamingCusum::from(CusumDetector::conventional());
+        for &b in &series {
+            straight.push(b);
+        }
+        let mut a = StreamingCusum::from(CusumDetector::conventional());
         for &b in &series[..80] {
             a.push(b);
         }
-        let mut b = a.fork();
+        let mut b = a.clone();
         for &v in &series[80..] {
             b.push(v);
         }
-        a.merge(&b);
-        assert_eq!(a, b);
-        // Merging the shorter side back is a no-op.
-        let snap = b.snapshot();
-        let short = StreamingCusum::conventional();
-        b.merge(&short);
-        assert_eq!(b.snapshot(), snap);
+        assert_eq!(b, straight);
     }
 
     #[test]
@@ -722,8 +615,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Snapshot/restore at an arbitrary point, with garbage pushed
-        /// in between, equals the straight-line push sequence.
+        /// A clone taken at an arbitrary cut survives garbage pushed
+        /// into the original: resuming from the clone equals the
+        /// straight-line push sequence.
         #[test]
         fn prop_snapshot_restore_equals_straight_line(
             series in proptest::collection::vec(0u64..200_000, 10..200),
@@ -739,11 +633,11 @@ mod tests {
             for &b in &series[..cut] {
                 machine.push(b);
             }
-            let snap = machine.snapshot();
+            let saved = machine.clone();
             for &g in &garbage {
                 machine.push(g);
             }
-            machine.restore(snap);
+            machine = saved;
             for &b in &series[cut..] {
                 machine.push(b);
             }
@@ -751,8 +645,8 @@ mod tests {
             proptest::prop_assert_eq!(machine.scan(), straight.scan());
         }
 
-        /// Two forks fed the same suffix stay bit-identical to each
-        /// other and to the unforked straight-line detector (mirrors
+        /// Two clones fed the same suffix stay bit-identical to each
+        /// other and to the uncloned straight-line detector (mirrors
         /// the simulator's double-fork identity).
         #[test]
         fn prop_double_fork_is_identical(
@@ -764,8 +658,8 @@ mod tests {
             for &b in &series[..cut] {
                 base.push(b);
             }
-            let mut f1 = base.fork();
-            let mut f2 = base.fork();
+            let mut f1 = base.clone();
+            let mut f2 = base.clone();
             for &b in &series[cut..] {
                 base.push(b);
                 f1.push(b);
@@ -776,9 +670,8 @@ mod tests {
             proptest::prop_assert_eq!(f1.report(), base.report());
         }
 
-        /// Merging a fork's continuation back into the fork point
-        /// yields the straight-line state; interleaved merges of the
-        /// spectral scorer agree too.
+        /// A spectral scorer cloned at any cut and fed the rest of the
+        /// series equals the one that saw the series straight through.
         #[test]
         fn prop_merge_interleavings_equal_straight_line(
             series in proptest::collection::vec(0u64..200_000, 20..200),
@@ -795,26 +688,20 @@ mod tests {
             for &b in &series[..cut] {
                 a.push(b);
             }
-            let mut b = a.fork();
+            let mut b = a.clone();
             for &v in &series[cut..] {
                 b.push(v);
             }
-            a.merge(&b);
-            proptest::prop_assert_eq!(a.snapshot(), straight.snapshot());
+            proptest::prop_assert_eq!(&b, &straight);
         }
 
-        /// Streaming CUSUM equals batch scan on arbitrary series,
-        /// bit for bit (compares the full scan enum, f64s included).
+        /// Both the batch fold and a bin-by-bin streaming pass equal the
+        /// straight-line reference on arbitrary series, bit for bit.
         #[test]
         fn prop_streaming_cusum_equals_batch(
             series in proptest::collection::vec(0u64..1_000_000, 0..300),
         ) {
-            let batch = CusumDetector::new(8, 0.5, 6.0).scan(&series);
-            let mut s = StreamingCusum::new(8, 0.5, 6.0);
-            for &b in &series {
-                s.push(b);
-            }
-            proptest::prop_assert_eq!(s.scan(), batch);
+            assert_cusum_matches_reference(&CusumDetector::new(8, 0.5, 6.0), &series);
         }
 
         /// Streaming rate equals batch run on arbitrary series.

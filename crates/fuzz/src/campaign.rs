@@ -19,7 +19,7 @@ use crate::gen::{self, Family};
 use crate::topo::run_topology;
 use pdos_conformance::{check_cusum_equivalence, check_point, digest_bins, ToleranceBands};
 use pdos_detect::cusum::CusumDetector;
-use pdos_detect::streaming::{StreamingCusum, StreamingDetector};
+use pdos_detect::streaming::StreamingCusum;
 use pdos_scenarios::experiment::SeededFault;
 use pdos_scenarios::runner::{
     ExperimentSpec, RunOutcome, RunRecord, SeedPolicy, SweepRunner, DEFAULT_CHECKPOINT_CAPACITY,

@@ -138,9 +138,8 @@ fn cusum_localizes_the_attack_onset() {
     // The *dispersion* changes dramatically: pulsing turns smooth traffic
     // into spikes. CUSUM over successive absolute differences catches the
     // onset within a couple of seconds.
-    let dispersion: Vec<u64> = bytes.windows(2).map(|w| w[0].abs_diff(w[1])).collect();
     let report = CusumDetector::new(40, 0.5, 8.0)
-        .scan(&dispersion)
+        .scan(&dispersion(&bytes))
         .into_report()
         .expect("calibrated");
     assert!(report.detected, "{report:?}");

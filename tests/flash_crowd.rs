@@ -123,9 +123,8 @@ fn change_detectors_flag_both_events() {
         ("flash crowd", bottleneck_trace(true, false)),
         ("attack", bottleneck_trace(false, true)),
     ] {
-        let dispersion: Vec<u64> = bytes.windows(2).map(|w| w[0].abs_diff(w[1])).collect();
         let rep = CusumDetector::new(100, 0.5, 8.0)
-            .scan(&dispersion)
+            .scan(&dispersion(&bytes))
             .into_report()
             .expect("calibrated");
         assert!(rep.detected, "{label}: dispersion change expected: {rep:?}");
