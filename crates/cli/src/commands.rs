@@ -264,6 +264,13 @@ fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> 
             .parse()
             .map_err(|_| ArgError(format!("--min-rto-ms: cannot parse '{ms}'")))?;
         spec.tcp.min_rto = SimDuration::from_millis(ms);
+        // The TCP agents assert a valid configuration; reject it here.
+        spec.tcp.validate().map_err(|e| {
+            ArgError(format!(
+                "--min-rto-ms {ms}: {e}, which is {}",
+                spec.tcp.max_rto
+            ))
+        })?;
     }
     Ok(spec)
 }
@@ -1652,6 +1659,22 @@ mod tests {
             ("sync --period-s nan".to_string(), "--period-s"),
             ("sync --period-s -1".to_string(), "--period-s"),
             ("sync --rattack-mbps 1e308".to_string(), "--rattack-mbps"),
+            (
+                "simulate --min-rto-ms 70000 --window-s 2".to_string(),
+                "--min-rto-ms",
+            ),
+            (
+                "sweep --min-rto-ms 70000 --points 2 --window-s 1 --jobs 1".to_string(),
+                "--min-rto-ms",
+            ),
+            (
+                "sync --min-rto-ms 70000 --window-s 1".to_string(),
+                "--min-rto-ms",
+            ),
+            (
+                "simulate --flows 100000 --window-s 0.001".to_string(),
+                "11585",
+            ),
             (
                 format!("detect --csv {trace} --capacity-mbps 1e308"),
                 "--capacity-mbps",

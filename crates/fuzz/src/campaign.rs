@@ -692,6 +692,7 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::parse_case;
 
     /// A small config that still exercises dumbbell sweeps: the smallest
     /// master seed whose generated set contains a multi-case dumbbell
@@ -771,6 +772,24 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         assert!(json.contains("\"warmups\":"));
         assert!(!json.contains("wall"), "no wall-clock may enter the report");
+    }
+
+    /// A dumbbell too large for memory fails its run with the node limit
+    /// in the detail, instead of aborting the process.
+    #[test]
+    fn oversized_dumbbells_are_failed_runs_naming_the_limit() {
+        let base = "topo=dumbbell class=diverse base=ns2 flows=3 queue=red mice=0 loss_e4=0 \
+                    rtt=paper seed=1 warmup_s=2 window_s=4 attack=none";
+        for line in [
+            base.replace("flows=3", "flows=100000"),
+            format!("{base} crowd=100000"),
+        ] {
+            let params = parse_case(&line).expect(&line);
+            let (class, detail) =
+                evaluate_params(&params, &CampaignConfig::default()).expect("the run fails");
+            assert_eq!(class, ViolationClass::RunFailed, "{line}: {detail}");
+            assert!(detail.contains("limit of 11585"), "{line}: {detail}");
+        }
     }
 
     #[test]

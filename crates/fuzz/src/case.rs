@@ -24,17 +24,6 @@ pub enum BaseScenario {
     Testbed,
 }
 
-/// The bottleneck queue discipline a case runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Random Early Detection (the paper's default).
-    Red,
-    /// Plain tail-drop.
-    DropTail,
-    /// RED with the accumulation-based refinement.
-    AccRed,
-}
-
 /// The victim RTT spread of a case (only meaningful on the ns-2 base;
 /// the testbed pins its own RTT).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,7 +73,7 @@ pub struct DumbbellCase {
     /// Long-lived (elephant) victim flows.
     pub n_flows: u32,
     /// Bottleneck queue discipline.
-    pub queue: QueueKind,
+    pub queue: BottleneckQueue,
     /// Short request/response (mice) flows riding along.
     pub mice_flows: u32,
     /// Ambient bottleneck loss, in 1e-4 units (0 = lossless).
@@ -132,11 +121,7 @@ impl DumbbellCase {
             BaseScenario::Testbed => ScenarioSpec::testbed(),
         };
         s.n_flows = self.n_flows as usize;
-        s.queue = match self.queue {
-            QueueKind::Red => BottleneckQueue::Red,
-            QueueKind::DropTail => BottleneckQueue::DropTail,
-            QueueKind::AccRed => BottleneckQueue::AccRed,
-        };
+        s.queue = self.queue;
         s.mice_flows = self.mice_flows as usize;
         s.bottleneck_loss = f64::from(self.loss_e4) * 1e-4;
         if self.base == BaseScenario::Ns2 {
@@ -189,10 +174,10 @@ impl DumbbellCase {
     }
 }
 
-/// The non-dumbbell topology shapes the campaign exercises directly on
-/// the simulator substrate (no `ScenarioSpec`, no gain protocol — these
-/// cases check routing, conservation and invariants under attack on
-/// shapes the dumbbell cannot express).
+/// The non-dumbbell topology shapes of `pdos_scenarios::shape` the
+/// campaign exercises (no `ScenarioSpec`, no gain protocol — these cases
+/// check routing, conservation and invariants under attack on shapes the
+/// dumbbell cannot express).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TopoKind {
     /// Three routers in a chain, two bottleneck hops, three flow groups
@@ -246,7 +231,7 @@ impl TopologyCase {
 pub enum CaseParams {
     /// A dumbbell case running the full gain protocol.
     Dumbbell(DumbbellCase),
-    /// A direct-substrate topology case.
+    /// A topology-shape case.
     Topology(TopologyCase),
 }
 
@@ -296,9 +281,9 @@ pub fn format_case(params: &CaseParams) -> String {
                 BaseScenario::Testbed => "testbed",
             };
             let queue = match c.queue {
-                QueueKind::Red => "red",
-                QueueKind::DropTail => "droptail",
-                QueueKind::AccRed => "accred",
+                BottleneckQueue::Red => "red",
+                BottleneckQueue::DropTail => "droptail",
+                BottleneckQueue::AccRed => "accred",
             };
             let rtt = match c.rtt {
                 RttProfile::Paper => "paper",
@@ -360,6 +345,12 @@ pub fn format_case(params: &CaseParams) -> String {
     }
 }
 
+/// The most `groups` a topology line may ask for.
+const MAX_GROUPS: u32 = 1_000;
+
+/// The most bank flows (`groups × flows`) a topology line may ask for.
+const MAX_BANK_FLOWS: u64 = 1_000_000;
+
 /// Parses the output of [`format_case`] back into parameters.
 ///
 /// # Errors
@@ -408,9 +399,9 @@ pub fn parse_case(line: &str) -> Result<CaseParams, String> {
                 other => return Err(format!("bad base: {other:?}")),
             };
             let queue = match fetch("queue")? {
-                "red" => QueueKind::Red,
-                "droptail" => QueueKind::DropTail,
-                "accred" => QueueKind::AccRed,
+                "red" => BottleneckQueue::Red,
+                "droptail" => BottleneckQueue::DropTail,
+                "accred" => BottleneckQueue::AccRed,
                 other => return Err(format!("bad queue: {other:?}")),
             };
             let rtt = match fetch("rtt")? {
@@ -494,9 +485,21 @@ pub fn parse_case(line: &str) -> Result<CaseParams, String> {
             if kind == TopoKind::FlowBank && flows == 0 {
                 return Err("flow-bank needs flows= >= 1".to_string());
             }
+            // Bounds that keep a hand-edited line from building a
+            // topology or a flow range too large for memory.
+            let groups = int("groups")?;
+            if groups > MAX_GROUPS {
+                return Err(format!("bad groups: {groups} (want <= {MAX_GROUPS})"));
+            }
+            if u64::from(groups) * u64::from(flows) > MAX_BANK_FLOWS {
+                return Err(format!(
+                    "bad flows: groups × flows = {} (want <= {MAX_BANK_FLOWS})",
+                    u64::from(groups) * u64::from(flows)
+                ));
+            }
             Ok(CaseParams::Topology(TopologyCase {
                 kind,
-                groups: int("groups")?,
+                groups,
                 flows,
                 seed: long("seed")?,
                 run_s: int("run_s")?,
@@ -518,7 +521,7 @@ mod tests {
             oracle: false,
             base: BaseScenario::Ns2,
             n_flows: 5,
-            queue: QueueKind::DropTail,
+            queue: BottleneckQueue::DropTail,
             mice_flows: 2,
             loss_e4: 20,
             rtt: RttProfile::Wide,
@@ -545,7 +548,7 @@ mod tests {
                 oracle: true,
                 base: BaseScenario::Ns2,
                 n_flows: 4,
-                queue: QueueKind::Red,
+                queue: BottleneckQueue::Red,
                 mice_flows: 0,
                 loss_e4: 0,
                 rtt: RttProfile::Paper,
@@ -562,7 +565,7 @@ mod tests {
                 oracle: false,
                 base: BaseScenario::Ns2,
                 n_flows: 6,
-                queue: QueueKind::Red,
+                queue: BottleneckQueue::Red,
                 mice_flows: 1,
                 loss_e4: 0,
                 rtt: RttProfile::Narrow,
@@ -634,6 +637,18 @@ mod tests {
                     .replace("extent_ms=0", "extent_ms=75")
                     .replace("rate_mbps=30", "rate_mbps=0"),
                 "rate_mbps",
+            ),
+            (
+                parking
+                    .replace("extent_ms=0", "extent_ms=75")
+                    .replace("groups=1", "groups=100000"),
+                "groups",
+            ),
+            (
+                "topo=flow-bank groups=1 seed=1 run_s=9 extent_ms=75 rate_mbps=30 \
+                 space_ms=425 flows=4000000000"
+                    .to_string(),
+                "flows",
             ),
             (dumbbell.replace("flows=5", "flows=0"), "flows"),
             (dumbbell.replace("loss_e4=20", "loss_e4=99999"), "loss_e4"),
@@ -795,7 +810,7 @@ mod tests {
                     oracle: false,
                     base,
                     n_flows: 2,
-                    queue: QueueKind::Red,
+                    queue: BottleneckQueue::Red,
                     mice_flows: 0,
                     loss_e4: 0,
                     rtt,

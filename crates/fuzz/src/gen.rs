@@ -10,15 +10,16 @@
 //! smoke slice for the same seed.
 
 use crate::case::{
-    AttackParams, BaseScenario, CaseParams, DumbbellCase, FuzzCase, QueueKind, RttProfile,
-    TopoKind, TopologyCase,
+    AttackParams, BaseScenario, CaseParams, DumbbellCase, FuzzCase, RttProfile, TopoKind,
+    TopologyCase,
 };
+use pdos_scenarios::spec::BottleneckQueue;
 use pdos_tcp::cc::CcSpec;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A group of cases sharing one scenario (dumbbell families) or a single
-/// direct-substrate topology case.
+/// topology-shape case.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Family {
     /// The family's cases, in draw order.
@@ -66,7 +67,7 @@ fn draw_oracle_family(rng: &mut SmallRng, fam: usize) -> Family {
         oracle: true,
         base: BaseScenario::Ns2,
         n_flows: rng.random_range(3u32..=8),
-        queue: QueueKind::Red,
+        queue: BottleneckQueue::Red,
         mice_flows: 0,
         loss_e4: 0,
         rtt: RttProfile::Paper,
@@ -115,9 +116,9 @@ fn draw_diverse_family(rng: &mut SmallRng, fam: usize) -> Family {
         base,
         n_flows,
         queue: match rng.random_range(0u32..3) {
-            0 => QueueKind::Red,
-            1 => QueueKind::DropTail,
-            _ => QueueKind::AccRed,
+            0 => BottleneckQueue::Red,
+            1 => BottleneckQueue::DropTail,
+            _ => BottleneckQueue::AccRed,
         },
         mice_flows: rng.random_range(0..=n_flows.min(4)),
         loss_e4: if rng.random_range(0u32..4) == 0 {
@@ -176,7 +177,7 @@ fn draw_flash_crowd_family(rng: &mut SmallRng, fam: usize) -> Family {
         oracle: false,
         base: BaseScenario::Ns2,
         n_flows: rng.random_range(3u32..=5),
-        queue: QueueKind::Red,
+        queue: BottleneckQueue::Red,
         mice_flows: 0,
         loss_e4: 0,
         rtt: RttProfile::Paper,

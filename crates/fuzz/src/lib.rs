@@ -3,8 +3,8 @@
 //!
 //! The crate draws random-but-seeded scenario *families* — dumbbell
 //! sweeps on the paper's ns-2 and testbed presets with varied traffic
-//! mixes, queue disciplines and attack schedules, plus parking-lot and
-//! fat-tree topologies built directly on the simulator — and pushes
+//! mixes, queue disciplines and attack schedules, plus the parking-lot,
+//! fat-tree and flow-bank shapes of `pdos_scenarios::shape` — and pushes
 //! every case through the same oracle, invariant-checker and golden
 //! digest machinery the conformance suite uses. Violations are
 //! minimized by a deterministic shrinker and emitted as self-contained
@@ -14,7 +14,7 @@
 //!
 //! * [`case`] — the case parameter space and its stable text form.
 //! * [`gen`] — seeded family generation and the sim-seconds budget.
-//! * [`topo`] — the direct-substrate parking-lot / fat-tree harness.
+//! * [`topo`] — the attack, run and audit of the topology shapes.
 //! * [`campaign`] — the runner, audit, and `pdos-fuzz/1` report.
 //! * [`shrink`] — shrink-on-violation and `pdos-fuzz-repro/1` files.
 //!

@@ -12,8 +12,9 @@ use crate::campaign::{
     evaluate_params, fault_from_str, fault_to_str, CampaignConfig, CampaignReport,
     CampaignViolation, ShrunkRepro, ViolationClass,
 };
-use crate::case::{format_case, parse_case, BaseScenario, CaseParams, QueueKind, RttProfile};
+use crate::case::{format_case, parse_case, BaseScenario, CaseParams, RttProfile};
 use pdos_scenarios::experiment::SeededFault;
+use pdos_scenarios::spec::BottleneckQueue;
 use std::fmt::Write as _;
 
 /// Violations shrunk per report: shrinking replays simulations, so a
@@ -90,9 +91,9 @@ fn candidates(params: &CaseParams, class: ViolationClass) -> Vec<CaseParams> {
                 n.base = BaseScenario::Ns2;
                 push(n);
             }
-            if c.queue != QueueKind::Red {
+            if c.queue != BottleneckQueue::Red {
                 let mut n = c.clone();
-                n.queue = QueueKind::Red;
+                n.queue = BottleneckQueue::Red;
                 push(n);
             }
             if c.rtt != RttProfile::Paper {
@@ -588,7 +589,7 @@ mod tests {
             oracle: true,
             base: BaseScenario::Ns2,
             n_flows: 8,
-            queue: QueueKind::Red,
+            queue: BottleneckQueue::Red,
             mice_flows: 0,
             loss_e4: 0,
             rtt: RttProfile::Paper,

@@ -17,7 +17,10 @@
 //! * [`runner::SweepRunner`] — the parallel, deterministic experiment
 //!   runner (per-run seeds derived from a master seed + spec hash);
 //! * [`figures::gain_figure_specs`] — Figs. 6–9 and the ROC ablation as
-//!   flat spec enumerations the runner fans out.
+//!   flat spec enumerations the runner fans out;
+//! * [`shape`] — every topology beyond the dumbbell (parking lot, fat
+//!   tree, flow-bank dumbbell, the million-flow bank ring), wired from
+//!   the same primitives as [`spec::ScenarioSpec::build`].
 //!
 //! ## Example: measure one attacked point
 //!
@@ -40,6 +43,7 @@ pub mod classify;
 pub mod experiment;
 pub mod figures;
 pub mod runner;
+pub mod shape;
 pub mod spec;
 pub mod sync;
 

@@ -2,15 +2,14 @@
 //! Dummynet test-bed of Fig. 11, as data.
 
 use crate::bench::{FlowHandle, Testbench};
+use crate::shape::{ample, attack_hosts};
 use pdos_analysis::params::{spread_rtts, VictimSet};
 use pdos_sim::packet::FlowId;
 use pdos_sim::queue::{AccConfig, QueueSpec, RedConfig};
 use pdos_sim::time::{SimDuration, SimTime};
-use pdos_sim::topology::{BuildError, TopologyBuilder};
+use pdos_sim::topology::{BuildError, TopologyBuilder, MAX_NODES};
 use pdos_sim::units::{BitsPerSec, Bytes};
 use pdos_tcp::config::TcpConfig;
-use pdos_tcp::sender::TcpSender;
-use pdos_tcp::sink::TcpSink;
 
 /// Which discipline guards the bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,23 +206,16 @@ impl ScenarioSpec {
     }
 
     fn bottleneck_queue_spec(&self) -> QueueSpec {
+        let mut red = RedConfig::paper_testbed(self.buffer_packets);
+        red.mean_packet_size = self.tcp.segment_wire_size();
+        // When the endpoints negotiate ECN, the bottleneck marks.
+        red.ecn = self.tcp.ecn;
         match self.queue {
-            BottleneckQueue::Red => {
-                let mut cfg = RedConfig::paper_testbed(self.buffer_packets);
-                cfg.mean_packet_size = self.tcp.segment_wire_size();
-                // When the endpoints negotiate ECN, the bottleneck marks.
-                cfg.ecn = self.tcp.ecn;
-                QueueSpec::Red(cfg)
-            }
+            BottleneckQueue::Red => QueueSpec::Red(red),
             BottleneckQueue::DropTail => QueueSpec::DropTail {
                 capacity: self.buffer_packets,
             },
-            BottleneckQueue::AccRed => {
-                let mut red = RedConfig::paper_testbed(self.buffer_packets);
-                red.mean_packet_size = self.tcp.segment_wire_size();
-                red.ecn = self.tcp.ecn;
-                QueueSpec::Acc(AccConfig::default_for(red))
-            }
+            BottleneckQueue::AccRed => QueueSpec::Acc(AccConfig::default_for(red)),
         }
     }
 
@@ -233,7 +225,8 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns [`BuildError`] if the topology is inconsistent (cannot
-    /// happen for the presets; possible with hand-rolled specs).
+    /// happen for the presets; possible with hand-rolled specs) or has
+    /// more than [`MAX_NODES`] nodes.
     ///
     /// # Panics
     ///
@@ -241,42 +234,32 @@ impl ScenarioSpec {
     /// positive access delays.
     pub fn build(&self) -> Result<Testbench, BuildError> {
         assert!(self.n_flows > 0, "need at least one victim flow");
+        // Two routers and a host pair per victim, crowd flow and attack.
+        let pairs = self.n_flows.saturating_add(self.crowd_flows);
+        let nodes = pairs.saturating_mul(2).saturating_add(4);
+        if nodes > MAX_NODES {
+            return Err(BuildError::TooManyNodes { nodes });
+        }
         let mut topo = TopologyBuilder::with_seed(self.seed);
 
         let router_s = topo.add_router("S");
         let router_r = topo.add_router("R");
 
-        // Plenty of room for ACKs and unshaped access traffic.
-        let ample = QueueSpec::DropTail { capacity: 10_000 };
-
         // Bottleneck: the discipline under test forward, ample reverse
         // (the attack and the data both flow forward; only ACKs return).
-        let (bottleneck, _rev) = {
-            let fwd = topo.add_link(
-                router_s,
-                router_r,
-                self.bottleneck,
-                self.bottleneck_delay,
-                self.bottleneck_queue_spec(),
+        let (rate, delay) = (self.bottleneck, self.bottleneck_delay);
+        let queue = self.bottleneck_queue_spec();
+        let bottleneck = topo.add_link(router_s, router_r, rate, delay, queue);
+        if self.bottleneck_loss > 0.0 {
+            topo.set_impairments(
+                bottleneck,
+                pdos_sim::link::Impairments {
+                    loss_prob: self.bottleneck_loss,
+                    jitter: SimDuration::ZERO,
+                },
             );
-            if self.bottleneck_loss > 0.0 {
-                topo.set_impairments(
-                    fwd,
-                    pdos_sim::link::Impairments {
-                        loss_prob: self.bottleneck_loss,
-                        jitter: SimDuration::ZERO,
-                    },
-                );
-            }
-            let rev = topo.add_link(
-                router_r,
-                router_s,
-                self.bottleneck,
-                self.bottleneck_delay,
-                ample.clone(),
-            );
-            (fwd, rev)
-        };
+        }
+        topo.add_link(router_r, router_s, rate, delay, ample());
 
         // Victim endpoints. RTT_i = 2·(d_src_i + d_bottle + d_dst).
         let d_dst = SimDuration::from_millis(1);
@@ -296,9 +279,9 @@ impl ScenarioSpec {
                 router_s,
                 self.access,
                 SimDuration::from_secs_f64(d_src_s),
-                ample.clone(),
+                ample(),
             );
-            topo.add_duplex_link(dst, router_r, self.access, d_dst, ample.clone());
+            topo.add_duplex_link(dst, router_r, self.access, d_dst, ample());
             endpoints.push((src, dst, rtt));
         }
 
@@ -311,28 +294,13 @@ impl ScenarioSpec {
             let src = topo.add_host(format!("crowd-src{j}"));
             let dst = topo.add_host(format!("crowd-dst{j}"));
             let d_src = SimDuration::from_millis(4 + (j as u64 % 7) * 3);
-            topo.add_duplex_link(src, router_s, self.access, d_src, ample.clone());
-            topo.add_duplex_link(dst, router_r, self.access, d_dst, ample.clone());
+            topo.add_duplex_link(src, router_s, self.access, d_src, ample());
+            topo.add_duplex_link(dst, router_r, self.access, d_dst, ample());
             crowd_endpoints.push((src, dst, d_src));
         }
 
         // Attacker on the sender side, attack sink behind the bottleneck.
-        let attacker = topo.add_host("attacker");
-        let victim = topo.add_host("attack-sink");
-        topo.add_duplex_link(
-            attacker,
-            router_s,
-            self.attacker_access,
-            SimDuration::from_millis(1),
-            ample.clone(),
-        );
-        topo.add_duplex_link(
-            victim,
-            router_r,
-            self.attacker_access,
-            SimDuration::from_millis(1),
-            ample,
-        );
+        let (attacker, victim) = attack_hosts(&mut topo, router_s, router_r, self.attacker_access);
 
         let mut sim = topo.build()?;
 
@@ -350,10 +318,7 @@ impl ScenarioSpec {
                 cfg.think_time = self.mice_think;
                 mice_left -= 1;
             }
-            let sender = sim.attach_agent_at(src, Box::new(TcpSender::new(cfg, flow, dst)), start);
-            let sink = sim.attach_agent(dst, Box::new(TcpSink::new(self.tcp.clone(), flow, src)));
-            sim.bind_flow(src, flow, sender);
-            sim.bind_flow(dst, flow, sink);
+            let (sender, sink) = pdos_tcp::connect(&mut sim, src, dst, flow, cfg, start);
             flows.push(FlowHandle {
                 flow,
                 sender,
@@ -376,10 +341,7 @@ impl ScenarioSpec {
             let start = SimTime::ZERO
                 + self.crowd_at
                 + SimDuration::from_millis(29).saturating_mul(j as u64);
-            let tx = sim.attach_agent_at(src, Box::new(TcpSender::new(cfg, flow, dst)), start);
-            let rx = sim.attach_agent(dst, Box::new(TcpSink::new(self.tcp.clone(), flow, src)));
-            sim.bind_flow(src, flow, tx);
-            sim.bind_flow(dst, flow, rx);
+            let (tx, rx) = pdos_tcp::connect(&mut sim, src, dst, flow, cfg, start);
             crowd.push(FlowHandle {
                 flow,
                 sender: tx,
@@ -410,6 +372,8 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
     use pdos_sim::time::SimTime;
+    use pdos_tcp::sender::TcpSender;
+    use pdos_tcp::sink::TcpSink;
 
     #[test]
     fn ns2_spec_matches_paper_constants() {
@@ -585,6 +549,21 @@ mod tests {
             "expected ECN marks under congestion: {:?}",
             bench.sim.stats()
         );
+    }
+
+    #[test]
+    fn oversized_dumbbells_are_refused_before_they_are_described() {
+        for (flows, crowd, nodes) in [(5_791, 0, 11_586), (10, 100_000, 200_024)] {
+            let mut spec = ScenarioSpec::ns2_dumbbell(flows);
+            spec.crowd_flows = crowd;
+            let Err(err) = spec.build() else {
+                panic!("{nodes} nodes built");
+            };
+            assert_eq!(err, BuildError::TooManyNodes { nodes });
+        }
+        let mut spec = ScenarioSpec::ns2_dumbbell(usize::MAX);
+        spec.crowd_flows = usize::MAX;
+        assert!(spec.build().is_err(), "saturates instead of overflowing");
     }
 
     #[test]

@@ -26,7 +26,16 @@ pub enum BuildError {
     },
     /// The topology has no nodes.
     Empty,
+    /// The topology has more than [`MAX_NODES`] nodes.
+    TooManyNodes {
+        /// Nodes in the description.
+        nodes: usize,
+    },
 }
+
+/// The most nodes a topology may have: the largest `n` whose dense
+/// routing table, `n² × 8` bytes, fits in 1 GiB.
+pub const MAX_NODES: usize = 11_585;
 
 impl fmt::Display for BuildError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -36,6 +45,11 @@ impl fmt::Display for BuildError {
             }
             BuildError::SelfLoop { node } => write!(f, "self-loop at {node}"),
             BuildError::Empty => write!(f, "topology has no nodes"),
+            BuildError::TooManyNodes { nodes } => write!(
+                f,
+                "topology has {nodes} nodes, above the limit of {MAX_NODES} \
+                 (its routing table would exceed 1 GiB)"
+            ),
         }
     }
 }
@@ -189,12 +203,16 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Returns [`BuildError`] when the description is inconsistent (unknown
-    /// node ids, self-loops, no nodes at all).
+    /// node ids, self-loops, no nodes at all) or has more than
+    /// [`MAX_NODES`] nodes.
     pub fn build(&self) -> Result<Simulator, BuildError> {
         if self.nodes.is_empty() {
             return Err(BuildError::Empty);
         }
         let n = self.nodes.len();
+        if n > MAX_NODES {
+            return Err(BuildError::TooManyNodes { nodes: n });
+        }
         for spec in &self.links {
             for endpoint in [spec.src, spec.dst] {
                 if endpoint.index() >= n {
@@ -350,6 +368,22 @@ mod tests {
         assert_eq!(sim.links().len(), 1_000);
         // build() borrowed the specs; no hidden clones survived it.
         assert_eq!(Arc::strong_count(&shared), 1_001);
+    }
+
+    #[test]
+    fn oversized_topology_is_an_error_not_an_allocation() {
+        // The routing table stores one `Option<LinkId>` per node pair.
+        assert_eq!(std::mem::size_of::<Option<LinkId>>(), 8);
+        const { assert!(MAX_NODES * MAX_NODES * 8 <= 1 << 30) };
+        const { assert!((MAX_NODES + 1) * (MAX_NODES + 1) * 8 > 1 << 30) };
+        let mut t = TopologyBuilder::new();
+        for i in 0..=MAX_NODES {
+            t.add_host(format!("h{i}"));
+        }
+        let err = t.build().unwrap_err();
+        assert_eq!(err, BuildError::TooManyNodes { nodes: 11_586 });
+        assert!(err.to_string().contains("11586 nodes"), "{err}");
+        assert!(err.to_string().contains("limit of 11585"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,8 @@
 //! realistic closed-loop traffic at scale, not to reproduce Fig. 6.
 
 use crate::rto_wheel::RtoWheel;
-use pdos_sim::agent::{Agent, AgentCtx};
+use pdos_sim::agent::{Agent, AgentCtx, AgentId};
+use pdos_sim::engine::Simulator;
 use pdos_sim::node::NodeId;
 use pdos_sim::packet::{FlowId, Packet, PacketKind};
 use pdos_sim::time::{SimDuration, SimTime};
@@ -430,6 +431,31 @@ impl Agent for SinkBank {
     fn clone_box(&self) -> Option<Box<dyn Agent>> {
         Some(Box::new(self.clone()))
     }
+}
+
+/// Wires a bank pair for the dense flow range `flows`: a [`SenderBank`]
+/// on `src` sending toward `dst`, a [`SinkBank`] on `dst`, and the range
+/// bindings that carry data to the sinks and ACKs back. Segments are
+/// 1000 bytes and the retransmission timeout is 500 ms. Returns
+/// `(sender bank, sink bank)`.
+///
+/// # Panics
+///
+/// Panics when `flows` is empty or overlaps a range already bound on
+/// `src` or `dst`.
+pub fn attach_pair(
+    sim: &mut Simulator,
+    src: NodeId,
+    dst: NodeId,
+    flows: std::ops::Range<u32>,
+) -> (AgentId, AgentId) {
+    let (segment, rto) = (Bytes::from_u64(1000), SimDuration::from_millis(500));
+    let (first, n) = (FlowId::from_u32(flows.start), flows.len());
+    let tx = sim.attach_agent(src, Box::new(SenderBank::new(first, n, dst, segment, rto)));
+    let rx = sim.attach_agent(dst, Box::new(SinkBank::new(first, n, segment)));
+    sim.bind_flow_range(src, flows.clone(), tx);
+    sim.bind_flow_range(dst, flows, rx);
+    (tx, rx)
 }
 
 #[cfg(test)]

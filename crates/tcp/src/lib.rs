@@ -35,10 +35,7 @@
 //!
 //! let flow = FlowId::from_u32(1);
 //! let cfg = TcpConfig::ns2_newreno();
-//! let tx = sim.attach_agent(a, Box::new(TcpSender::new(cfg.clone(), flow, b)));
-//! let rx = sim.attach_agent(b, Box::new(TcpSink::new(cfg, flow, a)));
-//! sim.bind_flow(a, flow, tx);
-//! sim.bind_flow(b, flow, rx);
+//! let (_tx, rx) = pdos_tcp::connect(&mut sim, a, b, flow, cfg, SimTime::ZERO);
 //!
 //! sim.run_until(SimTime::from_secs(5));
 //! let sink = sim.agent_as::<TcpSink>(rx).unwrap();
@@ -57,6 +54,36 @@ pub mod rto_wheel;
 pub mod sender;
 pub mod sink;
 pub mod stats;
+
+use config::TcpConfig;
+use pdos_sim::agent::AgentId;
+use pdos_sim::engine::Simulator;
+use pdos_sim::node::NodeId;
+use pdos_sim::packet::FlowId;
+use pdos_sim::time::SimTime;
+use sender::TcpSender;
+use sink::TcpSink;
+
+/// Wires one connection: a [`TcpSender`] on `src` started at `start`, a
+/// [`TcpSink`] on `dst`, and the two bindings that carry `flow`'s data
+/// to the sink and its ACKs back. Returns `(sender, sink)`.
+///
+/// The sink reads only the ACK-side fields of `cfg` (segment size,
+/// delayed ACKs, SACK), so one configuration serves both ends.
+pub fn connect(
+    sim: &mut Simulator,
+    src: NodeId,
+    dst: NodeId,
+    flow: FlowId,
+    cfg: TcpConfig,
+    start: SimTime,
+) -> (AgentId, AgentId) {
+    let tx = sim.attach_agent_at(src, Box::new(TcpSender::new(cfg.clone(), flow, dst)), start);
+    let rx = sim.attach_agent(dst, Box::new(TcpSink::new(cfg, flow, src)));
+    sim.bind_flow(src, flow, tx);
+    sim.bind_flow(dst, flow, rx);
+    (tx, rx)
+}
 
 /// Convenient re-exports.
 pub mod prelude {

@@ -24,20 +24,17 @@ use std::collections::BTreeSet;
 
 /// A greedy TCP sender agent.
 ///
-/// Attach it to a host node with the engine and bind the reverse flow so
-/// ACKs reach it:
+/// [`crate::connect`] attaches one to a host node, pairs it with a
+/// [`crate::sink::TcpSink`] and binds the reverse flow so ACKs reach it:
 ///
 /// ```no_run
 /// use pdos_sim::prelude::*;
-/// use pdos_tcp::{sender::TcpSender, sink::TcpSink, config::TcpConfig};
+/// use pdos_tcp::config::TcpConfig;
 ///
 /// # fn demo(sim: &mut Simulator, src: NodeId, dst: NodeId) {
 /// let flow = FlowId::from_u32(1);
 /// let cfg = TcpConfig::ns2_newreno();
-/// let tx = sim.attach_agent(src, Box::new(TcpSender::new(cfg.clone(), flow, dst)));
-/// let rx = sim.attach_agent(dst, Box::new(TcpSink::new(cfg, flow, src)));
-/// sim.bind_flow(src, flow, tx);   // ACKs
-/// sim.bind_flow(dst, flow, rx);   // data
+/// let (tx, rx) = pdos_tcp::connect(sim, src, dst, flow, cfg, SimTime::ZERO);
 /// # }
 /// ```
 #[derive(Debug, Clone)]

@@ -14,7 +14,7 @@
 
 use pdos_sim::agent::{Agent, AgentCtx};
 use pdos_sim::prelude::*;
-use pdos_tcp::bank::{SenderBank, SinkBank};
+use pdos_tcp::bank::{attach_pair, SenderBank, SinkBank};
 use std::any::Any;
 
 /// The boxed reference: one flow of the bank's exact AIMD/go-back-N
@@ -217,24 +217,7 @@ fn build_topology() -> (Simulator, NodeId, NodeId) {
 
 fn run_soa() -> Outcome {
     let (mut sim, tx, rx) = build_topology();
-    let segment = Bytes::from_u64(1000);
-    let rto = SimDuration::from_millis(500);
-    let tx_id = sim.attach_agent(
-        tx,
-        Box::new(SenderBank::new(
-            FlowId::from_u32(0),
-            FLOWS,
-            rx,
-            segment,
-            rto,
-        )),
-    );
-    let rx_id = sim.attach_agent(
-        rx,
-        Box::new(SinkBank::new(FlowId::from_u32(0), FLOWS, segment)),
-    );
-    sim.bind_flow_range(tx, 0..FLOWS as u32, tx_id);
-    sim.bind_flow_range(rx, 0..FLOWS as u32, rx_id);
+    let (tx_id, rx_id) = attach_pair(&mut sim, tx, rx, 0..FLOWS as u32);
     sim.run_until(SimTime::from_secs(HORIZON_SECS));
     let bank = sim.agent_as::<SenderBank>(tx_id).expect("sender bank");
     let sink = sim.agent_as::<SinkBank>(rx_id).expect("sink bank");
@@ -295,24 +278,7 @@ fn run_boxed() -> Outcome {
 fn probe_first_divergence() {
     let build_soa = || {
         let (mut sim, tx, rx) = build_topology();
-        let segment = Bytes::from_u64(1000);
-        let rto = SimDuration::from_millis(500);
-        let tx_id = sim.attach_agent(
-            tx,
-            Box::new(SenderBank::new(
-                FlowId::from_u32(0),
-                FLOWS,
-                rx,
-                segment,
-                rto,
-            )),
-        );
-        let rx_id = sim.attach_agent(
-            rx,
-            Box::new(SinkBank::new(FlowId::from_u32(0), FLOWS, segment)),
-        );
-        sim.bind_flow_range(tx, 0..FLOWS as u32, tx_id);
-        sim.bind_flow_range(rx, 0..FLOWS as u32, rx_id);
+        let (tx_id, _) = attach_pair(&mut sim, tx, rx, 0..FLOWS as u32);
         (sim, tx_id)
     };
     let build_boxed = || {

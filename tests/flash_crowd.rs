@@ -4,8 +4,7 @@
 //! must separate the two where mean/change detectors cannot.
 
 use pdos::prelude::*;
-use pdos::tcp::sender::TcpSender;
-use pdos::tcp::sink::TcpSink;
+use pdos::scenarios::shape::{ample, attack_hosts};
 
 /// A dumbbell with 4 long-lived flows; at `t = 12 s`, 16 mice flows
 /// arrive within half a second (the flash crowd), or a pulsing attack
@@ -21,35 +20,19 @@ fn bottleneck_trace(flash_crowd: bool, attack: bool) -> Vec<u64> {
         cfg.mean_packet_size = Bytes::from_u64(1040);
         cfg
     });
-    let ample = QueueSpec::DropTail { capacity: 10_000 };
     let fwd = t.add_link(s, r, bottleneck, SimDuration::from_millis(5), red);
-    t.add_link(r, s, bottleneck, SimDuration::from_millis(5), ample.clone());
+    t.add_link(r, s, bottleneck, SimDuration::from_millis(5), ample());
 
     let mut endpoints = Vec::new();
     for i in 0..20 {
         let src = t.add_host(format!("src{i}"));
         let dst = t.add_host(format!("dst{i}"));
         let delay = SimDuration::from_millis(4 + (i as u64 % 7) * 3);
-        t.add_duplex_link(src, s, access, delay, ample.clone());
-        t.add_duplex_link(dst, r, access, SimDuration::from_millis(1), ample.clone());
+        t.add_duplex_link(src, s, access, delay, ample());
+        t.add_duplex_link(dst, r, access, SimDuration::from_millis(1), ample());
         endpoints.push((src, dst));
     }
-    let attacker = t.add_host("attacker");
-    let sinkhost = t.add_host("attack-sink");
-    t.add_duplex_link(
-        attacker,
-        s,
-        BitsPerSec::from_mbps(1000.0),
-        SimDuration::from_millis(1),
-        ample.clone(),
-    );
-    t.add_duplex_link(
-        sinkhost,
-        r,
-        BitsPerSec::from_mbps(1000.0),
-        SimDuration::from_millis(1),
-        ample,
-    );
+    let (attacker, sinkhost) = attack_hosts(&mut t, s, r, BitsPerSec::from_mbps(1000.0));
 
     let mut sim = t.build().expect("builds");
     let bin = SimDuration::from_millis(100);
@@ -68,10 +51,7 @@ fn bottleneck_trace(flash_crowd: bool, attack: bool) -> Vec<u64> {
             cfg.think_time = SimDuration::from_millis(400);
             SimTime::from_secs(12) + SimDuration::from_millis(29 * i as u64) // the crowd
         };
-        let tx = sim.attach_agent_at(src, Box::new(TcpSender::new(cfg.clone(), flow, dst)), start);
-        let rx = sim.attach_agent(dst, Box::new(TcpSink::new(cfg, flow, src)));
-        sim.bind_flow(src, flow, tx);
-        sim.bind_flow(dst, flow, rx);
+        pdos::tcp::connect(&mut sim, src, dst, flow, cfg, start);
     }
     if attack {
         let train = PulseTrain::new(

@@ -1,133 +1,24 @@
-//! Substrate generality: a parking-lot topology (three routers in a
-//! chain, two bottleneck hops) built directly on `pdos-sim`. The attack
-//! targets the middle hop; flows crossing it suffer, flows that avoid it
-//! do not — locality the dumbbell cannot express.
+//! Substrate generality: the parking-lot shape (three routers in a
+//! chain, two bottleneck hops; `pdos_scenarios::shape::parking_lot`). The
+//! attack targets the middle hop; flows crossing it suffer, flows that
+//! avoid it do not — locality the dumbbell cannot express.
 
 use pdos::attack::source::PulseSource;
 use pdos::prelude::*;
-use pdos::tcp::sender::TcpSender;
-use pdos::tcp::sink::TcpSink;
+use pdos::scenarios::shape::{self, Wired};
 
-struct ParkingLot {
-    sim: Simulator,
-    /// (flow, sink agent) per group: long (r1→r3), right (r2→r3),
-    /// left (r1→r2).
-    long: Vec<(FlowId, pdos::sim::agent::AgentId)>,
-    right: Vec<(FlowId, pdos::sim::agent::AgentId)>,
-    left: Vec<(FlowId, pdos::sim::agent::AgentId)>,
-    attacker: NodeId,
-    attack_sink: NodeId,
-}
-
-fn build(n_per_group: usize) -> ParkingLot {
-    let mut t = TopologyBuilder::with_seed(5);
-    let r1 = t.add_router("r1");
-    let r2 = t.add_router("r2");
-    let r3 = t.add_router("r3");
-    let bottleneck = BitsPerSec::from_mbps(15.0);
-    let access = BitsPerSec::from_mbps(50.0);
-    let red = QueueSpec::Red({
-        let mut cfg = RedConfig::paper_testbed(60);
-        cfg.mean_packet_size = Bytes::from_u64(1040);
-        cfg
-    });
-    let ample = QueueSpec::DropTail { capacity: 10_000 };
-
-    // Two bottleneck hops r1->r2->r3 (RED forward, ample reverse).
-    t.add_link(r1, r2, bottleneck, SimDuration::from_millis(5), red.clone());
-    t.add_link(
-        r2,
-        r1,
-        bottleneck,
-        SimDuration::from_millis(5),
-        ample.clone(),
-    );
-    t.add_link(r2, r3, bottleneck, SimDuration::from_millis(5), red);
-    t.add_link(
-        r3,
-        r2,
-        bottleneck,
-        SimDuration::from_millis(5),
-        ample.clone(),
-    );
-
-    let mut hosts = Vec::new();
-    let add_pair = |t: &mut TopologyBuilder, src_router, dst_router, tag: &str, i: usize| {
-        let src = t.add_host(format!("{tag}-src{i}"));
-        let dst = t.add_host(format!("{tag}-dst{i}"));
-        t.add_duplex_link(
-            src,
-            src_router,
-            access,
-            SimDuration::from_millis(2),
-            ample.clone(),
-        );
-        t.add_duplex_link(
-            dst,
-            dst_router,
-            access,
-            SimDuration::from_millis(2),
-            ample.clone(),
-        );
-        (src, dst)
-    };
-    for i in 0..n_per_group {
-        hosts.push(("long", add_pair(&mut t, r1, r3, "long", i)));
-        hosts.push(("right", add_pair(&mut t, r2, r3, "right", i)));
-        hosts.push(("left", add_pair(&mut t, r1, r2, "left", i)));
-    }
-    let attacker = t.add_host("attacker");
-    let attack_sink = t.add_host("attack-sink");
-    t.add_duplex_link(
-        attacker,
-        r2,
-        BitsPerSec::from_mbps(1000.0),
-        SimDuration::from_millis(1),
-        ample.clone(),
-    );
-    t.add_duplex_link(
-        attack_sink,
-        r3,
-        BitsPerSec::from_mbps(1000.0),
-        SimDuration::from_millis(1),
-        ample,
-    );
-
-    let mut sim = t.build().expect("parking lot builds");
-    let cfg = TcpConfig::ns2_newreno();
-    let (mut long, mut right, mut left) = (Vec::new(), Vec::new(), Vec::new());
-    for (i, &(tag, (src, dst))) in hosts.iter().enumerate() {
-        let flow = FlowId::from_u32(i as u32);
-        let start = SimTime::from_millis(53 * i as u64);
-        let tx = sim.attach_agent_at(src, Box::new(TcpSender::new(cfg.clone(), flow, dst)), start);
-        let rx = sim.attach_agent(dst, Box::new(TcpSink::new(cfg.clone(), flow, src)));
-        sim.bind_flow(src, flow, tx);
-        sim.bind_flow(dst, flow, rx);
-        match tag {
-            "long" => long.push((flow, rx)),
-            "right" => right.push((flow, rx)),
-            _ => left.push((flow, rx)),
-        }
-    }
-    ParkingLot {
-        sim,
-        long,
-        right,
-        left,
-        attacker,
-        attack_sink,
-    }
-}
-
-fn group_goodput(sim: &Simulator, group: &[(FlowId, pdos::sim::agent::AgentId)]) -> u64 {
-    group
-        .iter()
-        .map(|&(_, rx)| sim.agent_as::<TcpSink>(rx).expect("sink").goodput_bytes())
+/// Goodput of one flow group: `0` long (r1→r3), `1` right (r2→r3),
+/// `2` left (r1→r2). The shape interleaves the groups, so sink `i`
+/// belongs to group `i % 3`.
+fn group_goodput(lot: &Wired, group: usize) -> u64 {
+    (group..lot.sinks.len())
+        .step_by(3)
+        .map(|i| lot.goodput_bytes(i))
         .sum()
 }
 
 fn run(attacked: bool) -> (f64, f64, f64) {
-    let mut lot = build(3);
+    let mut lot = shape::parking_lot(3, 5);
     if attacked {
         // Pulses at the middle hop r2->r3 (the attack sink sits behind r3).
         let train = PulseTrain::new(
@@ -148,15 +39,15 @@ fn run(attacked: bool) -> (f64, f64, f64) {
     }
     lot.sim.run_until(SimTime::from_secs(6));
     let before = (
-        group_goodput(&lot.sim, &lot.long),
-        group_goodput(&lot.sim, &lot.right),
-        group_goodput(&lot.sim, &lot.left),
+        group_goodput(&lot, 0),
+        group_goodput(&lot, 1),
+        group_goodput(&lot, 2),
     );
     lot.sim.run_until(SimTime::from_secs(30));
     let after = (
-        group_goodput(&lot.sim, &lot.long),
-        group_goodput(&lot.sim, &lot.right),
-        group_goodput(&lot.sim, &lot.left),
+        group_goodput(&lot, 0),
+        group_goodput(&lot, 1),
+        group_goodput(&lot, 2),
     );
     (
         (after.0 - before.0) as f64,

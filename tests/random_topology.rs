@@ -4,7 +4,6 @@
 //! never exercise.
 
 use pdos::prelude::*;
-use pdos::tcp::sender::TcpSender;
 use pdos::tcp::sink::TcpSink;
 use proptest::prelude::*;
 
@@ -36,10 +35,7 @@ fn tree_sim(parents: &[u8], src_pick: u8, dst_pick: u8) -> (Simulator, u64) {
     if src != dst {
         let flow = FlowId::from_u32(7);
         let cfg = TcpConfig::ns2_newreno();
-        let tx = sim.attach_agent(src, Box::new(TcpSender::new(cfg.clone(), flow, dst)));
-        let rx = sim.attach_agent(dst, Box::new(TcpSink::new(cfg, flow, src)));
-        sim.bind_flow(src, flow, tx);
-        sim.bind_flow(dst, flow, rx);
+        let (_, rx) = pdos::tcp::connect(&mut sim, src, dst, flow, cfg, SimTime::ZERO);
         sim.run_until(SimTime::from_secs(3));
         goodput_probe = sim.agent_as::<TcpSink>(rx).expect("sink").goodput_bytes();
     }
