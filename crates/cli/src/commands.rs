@@ -7,6 +7,7 @@ use pdos_analysis::model::{c_psi, mu_from_gamma};
 use pdos_analysis::optimize::{plan_for_degradation, solve};
 use pdos_analysis::sensitivity::parameter_what_if;
 use pdos_attack::pulse::PulseTrain;
+use pdos_bench::perf::PerfReport;
 use pdos_conformance::{OracleConfig, GOLDEN_FILE};
 use pdos_detect::cusum::{dispersion, CusumDetector};
 use pdos_detect::rate::RateDetector;
@@ -20,13 +21,16 @@ use pdos_scenarios::experiment::gamma_grid;
 use pdos_scenarios::figures::{
     gain_figure_specs, gain_figure_specs_cc, roc_specs, FigureGrid, GainFigure,
 };
-use pdos_scenarios::runner::{AttackPoint, ExperimentSpec, RunOutcome, SeedPolicy, SweepRunner};
+use pdos_scenarios::runner::{
+    AttackPoint, ExperimentSpec, RunOutcome, SeedPolicy, SweepReport, SweepRunner,
+};
 use pdos_scenarios::spec::{BottleneckQueue, ScenarioSpec};
 use pdos_scenarios::sync::SyncExperiment;
 use pdos_sim::time::SimDuration;
 use pdos_sim::units::BitsPerSec;
 use pdos_tcp::cc::CcSpec;
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// The top-level help text.
 pub const HELP: &str = "\
@@ -43,42 +47,45 @@ COMMANDS
   simulate   run one attacked scenario and report measured vs modelled damage
              --flows N (15)  --textent-ms T (75)  --rattack-mbps R (30)
              --gamma G (0.3)  --window-s W (30)  --seed S (1)
-             --queue red|droptail|acc (red)  --ecn  --testbed (use the
-             Fig. 11 test-bed scenario: 10 Mbps, 150 ms, 200 ms min RTO)
+             --queue red|droptail|acc (red)  --ecn  --min-rto-ms M (1000)
+             --testbed (the Fig. 11 test bed: 10 Mbps, 150 ms, 200 ms min RTO)
              --trace-out FILE (write the bottleneck's binned byte trace,
              --bin-ms B (100) wide bins, consumable by `pdos detect`)
   sweep      gamma sweep printing CSV rows (gamma,t_aimd,g_curve,g_sim,class)
-             same options as simulate, plus --points N (8) and --jobs N
-             (0 = one worker per CPU)
+             --flows --textent-ms --rattack-mbps --window-s --seed --queue
+             --ecn --min-rto-ms --testbed as for simulate, --points N (8)
+             --jobs N (0 = one worker per CPU)
              --shards N (1): run every point on the sharded engine with
              N conservative-lookahead workers; results are bit-identical
              to --shards 1 (see docs/SHARDING.md)
-             --fig fig06|fig07|fig08|fig09 runs a whole paper figure
-             through the parallel deterministic runner instead:
-             --jobs N (0)  --smoke (CI-sized grid)  --master-seed S (0)
-             --fig roc runs the ROC ablation instead: benign and attacked
-             traces through the runner, scored by the streaming detectors
-             across a threshold sweep (reports per-scorer curves + AUC;
-             --out FILE writes the deterministic pdos-roc/1 JSON)
-             --cc aimd|cubic|bbr-lite|dctcp (aimd): victims run the
-             chosen congestion control; the summary reports the measured
-             per-algorithm (gamma*, mu*) next to the analytic AIMD
-             reference  --out FILE (write the full JSON report)
              --warm-start | --no-warm-start (default on): simulate each
              distinct warm-up prefix once, checkpoint it, and fork every
              sweep point from the checkpoint; results are bitwise
              identical either way (cold fallback is automatic)
+             --fig fig06|fig07|fig08|fig09 runs a whole paper figure
+             through the parallel deterministic runner instead, with
+             --jobs N (0)  --smoke (CI-sized grid)  --master-seed S (0)
+             --shards  the warm-start pair  --out FILE (full JSON report)
+             --cc aimd|cubic|bbr-lite|dctcp (aimd): victims run the
+             chosen congestion control; the summary reports the measured
+             per-algorithm (gamma*, mu*) next to the analytic AIMD
+             reference
+             --fig roc runs the ROC ablation instead: benign and attacked
+             traces through the runner, scored by the streaming detectors
+             across a threshold sweep (per-scorer curves + AUC), with
+             --jobs  --smoke  the warm-start pair  --out FILE (pdos-roc/1)
   sync       the Fig. 3 synchronization experiment
              --flows N (12)  --textent-ms T (50)  --rattack-mbps R (100)
-             --period-s P (2)  --window-s W (30)
+             --period-s P (2)  --window-s W (30)  --seed --queue --ecn
+             --min-rto-ms --testbed as for simulate
   detect     run the volume + spectral detectors over a binned byte trace
              --csv FILE (one integer per line: bytes per bin)
              --capacity-mbps C  --bin-ms B (100)
   serve      streaming detection service: feed traces bin by bin through
              the online CUSUM + rate + spectral detector bank and emit
              the deterministic pdos-detect/1 alarm-stream JSON
-             --replay FILE (score one recorded trace, the `pdos simulate
-             --trace-out` format; requires --capacity-mbps C)
+             --replay FILE (score one recorded trace in the format
+             `pdos simulate` writes; requires --capacity-mbps C)
              --bin-ms B (100)
              live mode (default, no --replay): simulate a scenario set
              and score each run's bottleneck trace in spec order —
@@ -149,17 +156,8 @@ COMMANDS
   help       this text
 ";
 
-/// Resolves `--warm-start` / `--no-warm-start` (default: on). Warm-start
-/// checkpointing is bitwise result-neutral, so the flag is purely a
-/// wall-clock/debugging knob.
-fn warm_start_of(args: &Args) -> Result<bool, ArgError> {
-    if args.flag("warm-start") && args.flag("no-warm-start") {
-        return Err(ArgError(
-            "--warm-start and --no-warm-start are mutually exclusive".into(),
-        ));
-    }
-    Ok(!args.flag("no-warm-start"))
-}
+/// The warm-up of every run `simulate`, `sweep` and `sync` make.
+const WARMUP: SimDuration = SimDuration::from_secs(8);
 
 /// Resolves `--cc` against the congestion-control registry (default:
 /// `aimd`, the paper's sender).
@@ -224,19 +222,19 @@ fn positive(args: &Args, key: &str, default: Option<f64>, unit: Unit) -> Result<
     }
 }
 
-/// Reads `--bin-ms` (default 100) as a trace bin width. This is the one
-/// conversion to a [`SimDuration`]: a positive width that rounds to zero
-/// nanoseconds would reach the trace's asserting constructor, so it is
+/// Reads a duration option (`--window-s`, `--period-s`, `--bin-ms`) as a
+/// [`SimDuration`]. A positive value that rounds to zero nanoseconds would
+/// measure nothing or reach the trace's asserting constructor, so it is
 /// rejected here.
-fn bin_width(args: &Args) -> Result<SimDuration, ArgError> {
-    let bin = SimDuration::from_secs_f64(positive(args, "bin-ms", Some(100.0), Unit::Millis)?);
-    if bin.is_zero() {
+fn duration(args: &Args, key: &str, default: f64, unit: Unit) -> Result<SimDuration, ArgError> {
+    let d = SimDuration::from_secs_f64(positive(args, key, Some(default), unit)?);
+    if d.is_zero() {
         return Err(ArgError(format!(
-            "--bin-ms {} rounds to a zero-width bin; the resolution is 1 ns (1e-6 ms)",
-            args.get("bin-ms").unwrap_or_default()
+            "--{key} {} rounds to zero; the resolution is 1 ns",
+            args.get(key).unwrap_or_default()
         )));
     }
-    Ok(bin)
+    Ok(d)
 }
 
 /// Reads `--flows`, the victim count: an empty victim set would reach the
@@ -248,35 +246,151 @@ fn flows_of(args: &Args, default: usize) -> Result<usize, ArgError> {
     }
 }
 
-fn spec_of(args: &Args, default_flows: usize) -> Result<ScenarioSpec, ArgError> {
-    let mut spec = if args.flag("testbed") {
-        let mut s = ScenarioSpec::testbed();
-        s.n_flows = flows_of(args, s.n_flows)?;
-        s
-    } else {
-        ScenarioSpec::ns2_dumbbell(flows_of(args, default_flows)?)
-    };
-    spec.queue = queue_of(args)?;
-    spec.seed = args.num("seed", 1u64)?;
-    spec.tcp.ecn = args.flag("ecn");
-    if let Some(ms) = args.get("min-rto-ms") {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| ArgError(format!("--min-rto-ms: cannot parse '{ms}'")))?;
-        spec.tcp.min_rto = SimDuration::from_millis(ms);
-        // The TCP agents assert a valid configuration; reject it here.
-        spec.tcp.validate().map_err(|e| {
-            ArgError(format!(
-                "--min-rto-ms {ms}: {e}, which is {}",
-                spec.tcp.max_rto
-            ))
-        })?;
+/// The scenario, pulse and window options `simulate`, `sweep` and `sync`
+/// share.
+struct RunOptions {
+    spec: ScenarioSpec,
+    /// Pulse width, seconds.
+    t_extent: f64,
+    /// Pulse rate, bits per second.
+    r_attack: f64,
+    /// The measurement window after [`WARMUP`] (`--window-s`, 30 s).
+    window: SimDuration,
+}
+
+impl RunOptions {
+    /// Reads the options with a command's defaults for `--flows`,
+    /// `--textent-ms` and `--rattack-mbps`.
+    fn read(
+        args: &Args,
+        flows: usize,
+        textent_ms: f64,
+        rattack_mbps: f64,
+    ) -> Result<RunOptions, ArgError> {
+        let mut spec = if args.flag("testbed") {
+            ScenarioSpec::testbed()
+        } else {
+            ScenarioSpec::ns2_dumbbell(flows)
+        };
+        spec.n_flows = flows_of(args, spec.n_flows)?;
+        spec.queue = queue_of(args)?;
+        spec.seed = args.num("seed", 1u64)?;
+        spec.tcp.ecn = args.flag("ecn");
+        if args.get("min-rto-ms").is_some() {
+            let ms: u64 = args.require_num("min-rto-ms")?;
+            spec.tcp.min_rto = SimDuration::from_millis(ms);
+            // The TCP agents assert a valid configuration; reject it here.
+            spec.tcp.validate().map_err(|e| {
+                ArgError(format!(
+                    "--min-rto-ms {ms}: {e}, which is {}",
+                    spec.tcp.max_rto
+                ))
+            })?;
+        }
+        Ok(RunOptions {
+            spec,
+            t_extent: positive(args, "textent-ms", Some(textent_ms), Unit::Millis)?,
+            r_attack: positive(args, "rattack-mbps", Some(rattack_mbps), Unit::Mbps)?,
+            window: duration(args, "window-s", 30.0, Unit::Secs)?,
+        })
     }
-    Ok(spec)
+
+    /// An attacked run of these options at `gamma`.
+    fn attacked(&self, id: impl Into<String>, gamma: f64) -> ExperimentSpec {
+        ExperimentSpec::attacked(
+            id,
+            self.spec.clone(),
+            AttackPoint {
+                t_extent: self.t_extent,
+                r_attack: self.r_attack,
+                gamma,
+            },
+        )
+        .warmup(WARMUP)
+        .window(self.window)
+    }
+}
+
+/// The sweep runner `--jobs` and the `--warm-start`/`--no-warm-start` pair
+/// (default on; bitwise result-neutral) configure. It keeps scenario seeds
+/// unless `master_seed` is given, which derives each run's seed instead.
+fn runner_of(args: &Args, master_seed: Option<u64>) -> Result<SweepRunner, ArgError> {
+    if args.flag("warm-start") && args.flag("no-warm-start") {
+        return Err(ArgError(
+            "--warm-start and --no-warm-start are mutually exclusive".into(),
+        ));
+    }
+    let runner = match master_seed {
+        None => SweepRunner::new(0).seed_policy(SeedPolicy::FromScenario),
+        Some(seed) => SweepRunner::new(seed).seed_policy(SeedPolicy::Derived),
+    };
+    Ok(runner
+        .jobs(args.num("jobs", 0)?)
+        .warm_start(!args.flag("no-warm-start")))
+}
+
+/// Reads `--scenario golden|fig06-smoke`: the canonical golden set or the
+/// fig06 smoke grid.
+fn scenario_set<'a>(
+    args: &'a Args,
+    default: &'static str,
+) -> Result<(&'a str, Vec<ExperimentSpec>), ArgError> {
+    let name = args.get("scenario").unwrap_or(default);
+    let specs = match name {
+        "golden" => pdos_conformance::canonical_specs(),
+        "fig06-smoke" => gain_figure_specs(GainFigure::Fig06, &FigureGrid::smoke()),
+        other => {
+            return Err(ArgError(format!(
+                "--scenario must be golden or fig06-smoke; got '{other}'"
+            )))
+        }
+    };
+    Ok((name, specs))
+}
+
+/// Fails with the first failed run of `report`, if any.
+fn first_failure(report: &SweepReport) -> Result<(), ArgError> {
+    for r in &report.records {
+        if let RunOutcome::Failed { reason } = &r.outcome {
+            return Err(ArgError(format!("{}: {reason}", r.id)));
+        }
+    }
+    Ok(())
+}
+
+/// A file `--out` or `--trace-out` names, created after every other option
+/// has passed its checks and before the work, so that an unwritable path
+/// fails fast and a rejected command line leaves no file behind.
+struct Output {
+    path: String,
+    file: std::fs::File,
+}
+
+impl Output {
+    fn create(path: &str) -> Result<Output, ArgError> {
+        let file = std::fs::File::create(path)
+            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+        Ok(Output {
+            path: path.to_string(),
+            file,
+        })
+    }
+
+    /// The file `--{key}` names, if given.
+    fn of(args: &Args, key: &str) -> Result<Option<Output>, ArgError> {
+        args.get(key).map(Output::create).transpose()
+    }
+
+    /// Writes `body` as the file's contents.
+    fn write(&self, body: &str) -> Result<(), ArgError> {
+        (&self.file)
+            .write_all(body.as_bytes())
+            .map_err(|e| ArgError(format!("cannot write {}: {e}", self.path)))
+    }
 }
 
 /// `pdos solve`.
-pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
+fn cmd_solve(args: &Args) -> Result<String, ArgError> {
     let flows = flows_of(args, 25)?;
     let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
     let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
@@ -297,10 +411,8 @@ pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(out, "  period T_AIMD   = {:.3} s", sol.period);
     let _ = writeln!(out, "  degradation     = {:.3}", sol.degradation);
     let _ = writeln!(out, "  gain at optimum = {:.3}", sol.gain);
-    if let Some(target) = args.get("target-degradation") {
-        let target: f64 = target
-            .parse()
-            .map_err(|_| ArgError(format!("--target-degradation: cannot parse '{target}'")))?;
+    if args.get("target-degradation").is_some() {
+        let target: f64 = args.require_num("target-degradation")?;
         let plan = plan_for_degradation(&victims, t_extent, r_attack, target, risk)
             .map_err(|e| ArgError(e.to_string()))?;
         let _ = writeln!(
@@ -333,26 +445,16 @@ pub fn cmd_solve(args: &Args) -> Result<String, ArgError> {
 
 /// `pdos simulate`: one attacked spec through the runner's single-point
 /// path, traced when `--trace-out` is given.
-pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
-    let spec = spec_of(args, 15)?;
-    let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
-    let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
+fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
+    let opts = RunOptions::read(args, 15, 75.0, 30.0)?;
     let gamma: f64 = args.num("gamma", 0.3)?;
-    let window = positive(args, "window-s", Some(30.0), Unit::Secs)?;
-    let mut run = ExperimentSpec::attacked(
-        "simulate",
-        spec,
-        AttackPoint {
-            t_extent,
-            r_attack,
-            gamma,
-        },
-    )
-    .warmup(SimDuration::from_secs(8))
-    .window(SimDuration::from_secs_f64(window));
+    let mut run = opts.attacked("simulate", gamma);
     if args.get("trace-out").is_some() {
-        run = run.traced(bin_width(args)?);
+        run = run.traced(duration(args, "bin-ms", 100.0, Unit::Millis)?);
+    } else if args.get("bin-ms").is_some() {
+        return Err(ArgError("--bin-ms sizes the --trace-out bins".into()));
     }
+    let trace_file = Output::of(args, "trace-out")?;
     let record = SweepRunner::new(0)
         .seed_policy(SeedPolicy::FromScenario)
         .execute_one(&run);
@@ -367,22 +469,21 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     };
 
     let mut out = String::new();
-    if let Some(path) = args.get("trace-out") {
-        let body: String = bins.iter().map(|b| format!("{b}\n")).collect();
-        std::fs::write(path, body).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "wrote {} bins to {path}", bins.len());
+    if let Some(file) = &trace_file {
+        file.write(&format_trace(&bins))?;
+        let _ = writeln!(out, "wrote {} bins to {}", bins.len(), file.path);
     }
     let _ = writeln!(
         out,
         "attack: {} ms pulses at {} Mbps, gamma = {gamma} (T_AIMD = {:.3} s)",
-        t_extent * 1000.0,
-        r_attack / 1e6,
+        opts.t_extent * 1000.0,
+        opts.r_attack / 1e6,
         p.t_aimd
     );
     let _ = writeln!(
         out,
         "baseline goodput          : {:.2} Mbps",
-        baseline as f64 * 8.0 / window / 1e6
+        baseline as f64 * 8.0 / opts.window.as_secs_f64() / 1e6
     );
     let _ = writeln!(
         out,
@@ -409,57 +510,30 @@ pub fn cmd_simulate(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `pdos sweep`: a γ sweep as CSV, or — with `--fig` — a whole paper
-/// figure through the parallel deterministic runner with a JSON report.
-pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
-    if args.get("fig").is_some() {
-        return cmd_sweep_figure(args);
-    }
-    let spec = spec_of(args, 15)?;
-    let t_extent = positive(args, "textent-ms", Some(75.0), Unit::Millis)?;
-    let r_attack = positive(args, "rattack-mbps", Some(30.0), Unit::Mbps)?;
+/// `pdos sweep`: a γ sweep as CSV.
+fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
+    let opts = RunOptions::read(args, 15, 75.0, 30.0)?;
     let points: usize = args.num("points", 8)?;
-    let window = positive(args, "window-s", Some(30.0), Unit::Secs)?;
-    let jobs: usize = args.num("jobs", 0)?;
     let shards: usize = args.num("shards", 1)?;
+    let runner = runner_of(args, None)?;
     if points < 2 {
         return Err(ArgError("--points must be at least 2".into()));
     }
 
     // Enumerate the grid as specs and fan it out; `FromScenario` keeps the
     // CSV identical to the historical serial loop at any worker count.
-    let warmup = SimDuration::from_secs(8);
-    let window = SimDuration::from_secs_f64(window);
     let specs: Vec<ExperimentSpec> = gamma_grid(0.08, 0.92, points)
         .into_iter()
         .map(|gamma| {
-            ExperimentSpec::attacked(
-                format!("sweep/g{gamma:.3}"),
-                spec.clone(),
-                AttackPoint {
-                    t_extent,
-                    r_attack,
-                    gamma,
-                },
-            )
-            .warmup(warmup)
-            .window(window)
-            .sharded(shards)
+            opts.attacked(format!("sweep/g{gamma:.3}"), gamma)
+                .sharded(shards)
         })
         .collect();
-    let report = SweepRunner::new(0)
-        .seed_policy(SeedPolicy::FromScenario)
-        .jobs(jobs)
-        .warm_start(warm_start_of(args)?)
-        .run(&specs);
-    if let Some(rec) = report.records.iter().find_map(|r| match &r.outcome {
-        RunOutcome::Failed { reason } => Some(format!("{}: {reason}", r.id)),
-        _ => None,
-    }) {
-        return Err(ArgError(rec));
-    }
+    let report = runner.run(&specs);
+    first_failure(&report)?;
 
-    let c = c_psi(&spec.victims(), t_extent, r_attack).map_err(|e| ArgError(e.to_string()))?;
+    let c = c_psi(&opts.spec.victims(), opts.t_extent, opts.r_attack)
+        .map_err(|e| ArgError(e.to_string()))?;
     let mut out = String::from("gamma,t_aimd_s,g_curve,g_sim,degradation_sim,timeouts,class\n");
     let points_measured = report.points();
     for p in &points_measured {
@@ -478,18 +552,15 @@ pub fn cmd_sweep(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `pdos sweep --fig figNN`: one gain figure through the runner.
+/// `pdos sweep --fig figNN`: one gain figure through the runner, with a
+/// JSON report.
 fn cmd_sweep_figure(args: &Args) -> Result<String, ArgError> {
     let fig_name = args.get("fig").unwrap_or_default();
-    if fig_name == "roc" {
-        return cmd_sweep_roc(args);
-    }
     let fig = GainFigure::from_name(fig_name).ok_or_else(|| {
         ArgError(format!(
             "--fig must be one of fig06, fig07, fig08, fig09, roc; got '{fig_name}'"
         ))
     })?;
-    let jobs: usize = args.num("jobs", 0)?;
     let grid = if args.flag("smoke") {
         FigureGrid::smoke()
     } else {
@@ -498,21 +569,19 @@ fn cmd_sweep_figure(args: &Args) -> Result<String, ArgError> {
     // Without --master-seed the figures' pinned scenario seeds are kept
     // (the paper-exact sweep); with it, every run gets an independent
     // seed derived from master seed + spec hash.
-    let (master_seed, policy) = match args.get("master-seed") {
-        None => (0, SeedPolicy::FromScenario),
-        Some(_) => (args.num("master-seed", 0u64)?, SeedPolicy::Derived),
+    let master_seed = match args.get("master-seed") {
+        None => None,
+        Some(_) => Some(args.require_num("master-seed")?),
     };
+    let runner = runner_of(args, master_seed)?;
     let cc = cc_of(args)?;
     let shards: usize = args.num("shards", 1)?;
+    let report_file = Output::of(args, "out")?;
     let specs: Vec<ExperimentSpec> = gain_figure_specs_cc(fig, &grid, cc)
         .into_iter()
         .map(|s| s.sharded(shards))
         .collect();
-    let report = SweepRunner::new(master_seed)
-        .seed_policy(policy)
-        .jobs(jobs)
-        .warm_start(warm_start_of(args)?)
-        .run(&specs);
+    let report = runner.run(&specs);
 
     let mut out = String::new();
     let (mut ok, mut infeasible, mut failed) = (0usize, 0usize, 0usize);
@@ -588,10 +657,9 @@ fn cmd_sweep_figure(args: &Args) -> Result<String, ArgError> {
             }
         }
     }
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "report written to {path}");
+    if let Some(file) = &report_file {
+        file.write(&report.to_json())?;
+        let _ = writeln!(out, "report written to {}", file.path);
     }
     if failed > 0 {
         return Err(ArgError(format!("{failed} runs failed:\n{out}")));
@@ -610,18 +678,15 @@ const ROC_CUSUM_THRESHOLDS: [f64; 7] = [2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0];
 /// table and `pdos-roc/1` JSON — is a pure function of the traces, so it
 /// is byte-identical across `--jobs` and warm-start settings.
 fn cmd_sweep_roc(args: &Args) -> Result<String, ArgError> {
-    let jobs: usize = args.num("jobs", 0)?;
+    let runner = runner_of(args, None)?;
     let (n_traces, window) = if args.flag("smoke") {
         (2, SimDuration::from_secs(8))
     } else {
         (5, SimDuration::from_secs(30))
     };
+    let report_file = Output::of(args, "out")?;
     let specs = roc_specs(n_traces, window);
-    let report = SweepRunner::new(0)
-        .seed_policy(SeedPolicy::FromScenario)
-        .jobs(jobs)
-        .warm_start(warm_start_of(args)?)
-        .run(&specs);
+    let report = runner.run(&specs);
 
     let (mut benign, mut attacked): (Vec<Vec<u64>>, Vec<Vec<u64>>) = (Vec::new(), Vec::new());
     for (spec, r) in specs.iter().zip(&report.records) {
@@ -670,7 +735,7 @@ fn cmd_sweep_roc(args: &Args) -> Result<String, ArgError> {
     let _ = writeln!(out, "rate AUC             = {:.3}", auc(&rate_points));
     let _ = writeln!(out, "cusum-dispersion AUC = {:.3}", auc(&cusum_points));
 
-    if let Some(path) = args.get("out") {
+    if let Some(file) = &report_file {
         let mut json = String::from("{\"schema\":\"pdos-roc/1\",");
         let _ = write!(
             json,
@@ -703,8 +768,8 @@ fn cmd_sweep_roc(args: &Args) -> Result<String, ArgError> {
             json.push_str("]}");
         }
         json.push_str("]}");
-        std::fs::write(path, json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "report written to {path}");
+        file.write(&json)?;
+        let _ = writeln!(out, "report written to {}", file.path);
     }
     Ok(out)
 }
@@ -712,30 +777,17 @@ fn cmd_sweep_roc(args: &Args) -> Result<String, ArgError> {
 /// `pdos metrics` — runs a scenario set with the metrics registry on and
 /// exports the merged observability snapshot (per-link, per-flow and
 /// engine scopes, plus the CLI's own sweep wall-time phase counter).
-pub fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
-    let scenario = args.get("scenario").unwrap_or("fig06-smoke");
+fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
+    let (scenario, specs) = scenario_set(args, "fig06-smoke")?;
+    let specs: Vec<ExperimentSpec> = specs.into_iter().map(ExperimentSpec::metered).collect();
     let format = args.get("format").unwrap_or("json");
     if !matches!(format, "json" | "csv") {
         return Err(ArgError(format!(
             "--format must be json or csv; got '{format}'"
         )));
     }
-    let jobs: usize = args.num("jobs", 0)?;
-    let specs: Vec<ExperimentSpec> = match scenario {
-        "fig06-smoke" => gain_figure_specs(GainFigure::Fig06, &FigureGrid::smoke())
-            .into_iter()
-            .map(ExperimentSpec::metered)
-            .collect(),
-        "golden" => pdos_conformance::canonical_specs()
-            .into_iter()
-            .map(ExperimentSpec::metered)
-            .collect(),
-        other => {
-            return Err(ArgError(format!(
-                "--scenario must be fig06-smoke or golden; got '{other}'"
-            )));
-        }
-    };
+    let runner = runner_of(args, None)?;
+    let metrics_file = Output::of(args, "out")?;
 
     // The sweep itself is a profiled phase: its wall time lands in the
     // snapshot under cli/sweep_wall_nanos (the only wall-clock-dependent
@@ -744,17 +796,9 @@ pub fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
     let mut clock = pdos_metrics::WallClock::new();
     let report =
         pdos_metrics::time_phase(&mut profile, &mut clock, "cli", "sweep_wall_nanos", || {
-            SweepRunner::new(0)
-                .seed_policy(SeedPolicy::FromScenario)
-                .jobs(jobs)
-                .run(&specs)
+            runner.run(&specs)
         });
-    if let Some(failure) = report.records.iter().find_map(|r| match &r.outcome {
-        RunOutcome::Failed { reason } => Some(format!("{}: {reason}", r.id)),
-        _ => None,
-    }) {
-        return Err(ArgError(failure));
-    }
+    first_failure(&report)?;
     let mut merged = report
         .merged_metrics()
         .ok_or_else(|| ArgError("no successful metered runs to merge".into()))?;
@@ -772,11 +816,10 @@ pub fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
         report.records.len(),
         report.jobs
     );
-    match args.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body)
-                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "metrics written to {path}");
+    match &metrics_file {
+        Some(file) => {
+            file.write(&body)?;
+            let _ = writeln!(out, "metrics written to {}", file.path);
         }
         None => out.push_str(&body),
     }
@@ -787,7 +830,7 @@ pub fn cmd_metrics(args: &Args) -> Result<String, ArgError> {
 /// invariant violation, golden-trace drift, or oracle band breach; when
 /// `--out` is given the report is written even on failure, so CI can
 /// upload it as an artifact.
-pub fn cmd_check(args: &Args) -> Result<String, ArgError> {
+fn cmd_check(args: &Args) -> Result<String, ArgError> {
     let jobs: usize = args.num("jobs", 0)?;
     let scenarios: usize = args.num("scenarios", 50)?;
     let master_seed: u64 = args.num("master-seed", 7)?;
@@ -806,6 +849,8 @@ pub fn cmd_check(args: &Args) -> Result<String, ArgError> {
             )));
         }
     };
+    let runner = runner_of(args, None)?;
+    let report_file = Output::of(args, "out")?;
     let mut out = String::new();
     let mut problems: Vec<String> = Vec::new();
 
@@ -814,11 +859,7 @@ pub fn cmd_check(args: &Args) -> Result<String, ArgError> {
         .into_iter()
         .map(ExperimentSpec::checked)
         .collect();
-    let report = SweepRunner::new(0)
-        .seed_policy(SeedPolicy::FromScenario)
-        .jobs(jobs)
-        .warm_start(warm_start_of(args)?)
-        .run(&specs);
+    let report = runner.run(&specs);
     let clean = report
         .records
         .iter()
@@ -961,13 +1002,13 @@ pub fn cmd_check(args: &Args) -> Result<String, ArgError> {
         }
     }
 
-    if let Some(path) = args.get("out") {
+    if let Some(file) = &report_file {
         let mut full = out.clone();
         for p in &problems {
             let _ = writeln!(full, "PROBLEM: {p}");
         }
-        std::fs::write(path, full).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "report written to {path}");
+        file.write(&full)?;
+        let _ = writeln!(out, "report written to {}", file.path);
     }
     if problems.is_empty() {
         let _ = writeln!(out, "conformance: PASS");
@@ -981,36 +1022,38 @@ pub fn cmd_check(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-/// `pdos fuzz` — the scenario fuzzing campaign (or, with `--replay`, a
-/// single repro-file replay). Campaign violations are shrunk, written as
-/// `.repro` files when `--repro-dir` is given, and fail the command with
-/// a non-zero exit; the `--out` report is written even on failure, so CI
-/// can upload it as an artifact.
-pub fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
-    if let Some(path) = args.get("replay") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-        let repro = pdos_fuzz::parse_repro(&text).map_err(ArgError)?;
-        return match pdos_fuzz::replay_repro(&repro) {
-            None => Ok(format!(
-                "replay {path}: case {} passes — the recorded {} no longer reproduces\n",
-                repro.id,
-                repro.class.as_str()
-            )),
-            Some((class, detail)) if class == repro.class => Err(ArgError(format!(
-                "replay {path}: REPRODUCED {} on case {}: {detail}",
-                class.as_str(),
-                repro.id
-            ))),
-            Some((class, detail)) => Err(ArgError(format!(
-                "replay {path}: case {} now fails as {} (recorded {}): {detail}",
-                repro.id,
-                class.as_str(),
-                repro.class.as_str()
-            ))),
-        };
+/// `pdos fuzz --replay` — re-runs one repro file; fails while the
+/// recorded violation still reproduces.
+fn cmd_fuzz_replay(args: &Args) -> Result<String, ArgError> {
+    let path = args.get("replay").unwrap_or_default();
+    let text =
+        std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
+    let repro = pdos_fuzz::parse_repro(&text).map_err(ArgError)?;
+    match pdos_fuzz::replay_repro(&repro) {
+        None => Ok(format!(
+            "replay {path}: case {} passes — the recorded {} no longer reproduces\n",
+            repro.id,
+            repro.class.as_str()
+        )),
+        Some((class, detail)) if class == repro.class => Err(ArgError(format!(
+            "replay {path}: REPRODUCED {} on case {}: {detail}",
+            class.as_str(),
+            repro.id
+        ))),
+        Some((class, detail)) => Err(ArgError(format!(
+            "replay {path}: case {} now fails as {} (recorded {}): {detail}",
+            repro.id,
+            class.as_str(),
+            repro.class.as_str()
+        ))),
     }
+}
 
+/// `pdos fuzz` — the scenario fuzzing campaign. Violations are shrunk,
+/// written as `.repro` files when `--repro-dir` is given, and fail the
+/// command with a non-zero exit; the `--out` report is written even on
+/// failure, so CI can upload it as an artifact.
+fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
     let cfg = pdos_fuzz::CampaignConfig {
         scenarios: args.num("scenarios", 200)?,
         master_seed: args.num("master-seed", 7)?,
@@ -1020,6 +1063,7 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
         shrink_budget: args.num("shrink-budget", 64)?,
         ..pdos_fuzz::CampaignConfig::default()
     };
+    let report_file = Output::of(args, "out")?;
     let mut report = pdos_fuzz::run_campaign(&cfg);
     if !report.pass() {
         pdos_fuzz::shrink_report(&mut report, &cfg);
@@ -1042,10 +1086,9 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
             );
         }
     }
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "report written to {path}");
+    if let Some(file) = &report_file {
+        file.write(&report.to_json())?;
+        let _ = writeln!(out, "report written to {}", file.path);
     }
     if report.pass() {
         Ok(out)
@@ -1055,6 +1098,36 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
             report.violations.len()
         )))
     }
+}
+
+/// The `pdos bench` gate on one macro's events/s: the current run may be
+/// at most 20% slower than `base`, the baseline report's reading.
+fn events_gate(
+    report: &PerfReport,
+    gate: &str,
+    base: f64,
+    out: &mut String,
+    failures: &mut Vec<String>,
+) -> Result<(), ArgError> {
+    let now = report
+        .macro_result(gate)
+        .map(|m| m.events_per_sec())
+        .ok_or_else(|| ArgError(format!("current run has no '{gate}' macro")))?;
+    let ratio = now / base.max(1e-9);
+    let _ = writeln!(
+        out,
+        "baseline gate: {gate} {:.0} events/s vs baseline {:.0} ({:+.1}%)",
+        now,
+        base,
+        (ratio - 1.0) * 100.0
+    );
+    if ratio < 0.8 {
+        failures.push(format!(
+            "{gate} regressed {:.1}% ({now:.0} events/s vs {base:.0}; >20% budget)",
+            (1.0 - ratio) * 100.0
+        ));
+    }
+    Ok(())
 }
 
 /// `pdos bench` — the engine performance harness. Writes a
@@ -1071,17 +1144,17 @@ pub fn cmd_fuzz(args: &Args) -> Result<String, ArgError> {
 /// itself as skipped (no parallelism to measure). With `--profile` the
 /// scale macros run under the engine's self-profiler and the report
 /// carries the per-event-type cost breakdown.
-pub fn cmd_bench(args: &Args) -> Result<String, ArgError> {
+fn cmd_bench(args: &Args) -> Result<String, ArgError> {
     let shards: usize = args.num("shards", 1)?;
+    let report_file = Output::of(args, "out")?;
     let report = pdos_bench::perf::run(args.flag("smoke"), shards, args.flag("profile"));
-    let path = match args.get("out") {
-        Some(p) => p.to_string(),
-        None => format!("BENCH_{}.json", report.date),
+    let report_file = match report_file {
+        Some(file) => file,
+        None => Output::create(&format!("BENCH_{}.json", report.date))?,
     };
-    let json = report.to_json();
-    std::fs::write(&path, &json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
+    report_file.write(&report.to_json())?;
     let mut out = report.summary();
-    let _ = writeln!(out, "report written to {path}");
+    let _ = writeln!(out, "report written to {}", report_file.path);
     if let Some(baseline_path) = args.get("baseline") {
         let baseline = std::fs::read_to_string(baseline_path)
             .map_err(|e| ArgError(format!("cannot read {baseline_path}: {e}")))?;
@@ -1095,50 +1168,14 @@ pub fn cmd_bench(args: &Args) -> Result<String, ArgError> {
         let gate = "fig06-smoke";
         let base = pdos_bench::perf::extract_macro_events_per_sec(&baseline, gate)
             .ok_or_else(|| ArgError(format!("{baseline_path}: no '{gate}' events_per_sec")))?;
-        let now = report
-            .macro_result(gate)
-            .map(|m| m.events_per_sec())
-            .ok_or_else(|| ArgError(format!("current run has no '{gate}' macro")))?;
-        let ratio = now / base.max(1e-9);
-        let _ = writeln!(
-            out,
-            "baseline gate: {gate} {:.0} events/s vs baseline {:.0} ({:+.1}%)",
-            now,
-            base,
-            (ratio - 1.0) * 100.0
-        );
-        if ratio < 0.8 {
-            failures.push(format!(
-                "{gate} regressed {:.1}% ({now:.0} events/s vs {base:.0}; >20% budget)",
-                (1.0 - ratio) * 100.0
-            ));
-        }
+        events_gate(&report, gate, base, &mut out, &mut failures)?;
 
         // The mid-size scale gate: same 20% budget as fig06-smoke.
         // Baselines from before the flow-bank tier (schemas /1–/3) skip
         // it with a record rather than failing.
         let gate = "flow-bank-smoke";
         match pdos_bench::perf::extract_macro_events_per_sec(&baseline, gate) {
-            Some(base) => {
-                let now = report
-                    .macro_result(gate)
-                    .map(|m| m.events_per_sec())
-                    .ok_or_else(|| ArgError(format!("current run has no '{gate}' macro")))?;
-                let ratio = now / base.max(1e-9);
-                let _ = writeln!(
-                    out,
-                    "baseline gate: {gate} {:.0} events/s vs baseline {:.0} ({:+.1}%)",
-                    now,
-                    base,
-                    (ratio - 1.0) * 100.0
-                );
-                if ratio < 0.8 {
-                    failures.push(format!(
-                        "{gate} regressed {:.1}% ({now:.0} events/s vs {base:.0}; >20% budget)",
-                        (1.0 - ratio) * 100.0
-                    ));
-                }
-            }
+            Some(base) => events_gate(&report, gate, base, &mut out, &mut failures)?,
             None => {
                 let _ = writeln!(
                     out,
@@ -1251,22 +1288,18 @@ pub fn cmd_bench(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `pdos sync`.
-pub fn cmd_sync(args: &Args) -> Result<String, ArgError> {
-    let spec = spec_of(args, 12)?;
-    let t_extent_ms: u64 = args.num("textent-ms", 50)?;
-    let r_attack = positive(args, "rattack-mbps", Some(100.0), Unit::Mbps)?;
-    let period_s = positive(args, "period-s", Some(2.0), Unit::Secs)?;
-    let window: u64 = args.num("window-s", 30)?;
-    let period = SimDuration::from_secs_f64(period_s);
-    let extent = SimDuration::from_millis(t_extent_ms);
+fn cmd_sync(args: &Args) -> Result<String, ArgError> {
+    let opts = RunOptions::read(args, 12, 50.0, 100.0)?;
+    let period = duration(args, "period-s", 2.0, Unit::Secs)?;
+    let extent = SimDuration::from_secs_f64(opts.t_extent);
     if period <= extent {
         return Err(ArgError("--period-s must exceed --textent-ms".into()));
     }
-    let train = PulseTrain::new(extent, BitsPerSec::from_bps(r_attack), period - extent)
+    let train = PulseTrain::new(extent, BitsPerSec::from_bps(opts.r_attack), period - extent)
         .map_err(|e| ArgError(e.to_string()))?;
-    let result = SyncExperiment::new(spec)
-        .warmup(SimDuration::from_secs(8))
-        .window(SimDuration::from_secs(window))
+    let result = SyncExperiment::new(opts.spec)
+        .warmup(WARMUP)
+        .window(opts.window)
         .run(train)
         .map_err(|e| ArgError(e.to_string()))?;
 
@@ -1276,7 +1309,12 @@ pub fn cmd_sync(args: &Args) -> Result<String, ArgError> {
         "attack period              : {:.2} s",
         result.expected_period
     );
-    let _ = writeln!(out, "pinnacles in {window} s           : {}", result.peaks);
+    let _ = writeln!(
+        out,
+        "pinnacles in {} s           : {}",
+        opts.window.as_secs_f64(),
+        result.peaks
+    );
     if let Some(p) = result.period_from_peaks {
         let _ = writeln!(out, "period from peak count     : {p:.2} s");
     }
@@ -1287,19 +1325,25 @@ pub fn cmd_sync(args: &Args) -> Result<String, ArgError> {
 }
 
 /// `pdos detect` — over an externally supplied binned byte trace.
-pub fn cmd_detect(args: &Args) -> Result<String, ArgError> {
+fn cmd_detect(args: &Args) -> Result<String, ArgError> {
     let path = args
         .get("csv")
         .ok_or_else(|| ArgError("missing required option --csv".into()))?;
     let capacity = positive(args, "capacity-mbps", None, Unit::Mbps)?;
-    let bin_secs = bin_width(args)?.as_secs_f64();
+    let bin_secs = duration(args, "bin-ms", 100.0, Unit::Millis)?.as_secs_f64();
+    let bytes = read_trace(path)?;
+    Ok(detect_report(&bytes, capacity, bin_secs))
+}
+
+/// Reads a non-empty trace file in the [`parse_trace`] format.
+fn read_trace(path: &str) -> Result<Vec<u64>, ArgError> {
     let text =
         std::fs::read_to_string(path).map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
     let bytes = parse_trace(&text)?;
     if bytes.is_empty() {
         return Err(ArgError(format!("{path} contains no samples")));
     }
-    Ok(detect_report(&bytes, capacity, bin_secs))
+    Ok(bytes)
 }
 
 /// Parses a one-integer-per-line trace (blank lines and `#` comments
@@ -1318,6 +1362,12 @@ pub fn parse_trace(text: &str) -> Result<Vec<u64>, ArgError> {
                 .map_err(|_| ArgError(format!("line {}: '{l}' is not a byte count", i + 1)))
         })
         .collect()
+}
+
+/// Formats a trace one integer per line, as `pdos simulate --trace-out`
+/// writes it and [`parse_trace`] reads it.
+fn format_trace(bins: &[u64]) -> String {
+    bins.iter().map(|b| format!("{b}\n")).collect()
 }
 
 /// Runs both detectors over a binned trace and formats the report.
@@ -1397,68 +1447,61 @@ fn serve_alarms(bytes: &[u64], capacity_bps: f64, bin_secs: f64) -> Vec<Alarm> {
     alarms
 }
 
-/// `pdos serve` — the streaming detection service. Replays a recorded
-/// trace (`--replay`) or simulates a scenario set live, scoring every
-/// run's bottleneck trace bin by bin through the online detector bank,
-/// and emits the deterministic `pdos-detect/1` alarm-stream JSON.
-///
-/// The output never mentions worker counts or wall-clock, so it is
-/// byte-identical across `--jobs`.
+/// `pdos serve --replay` — scores one recorded trace through the online
+/// detector bank.
+fn cmd_serve_replay(args: &Args) -> Result<String, ArgError> {
+    let path = args.get("replay").unwrap_or_default();
+    let capacity = positive(args, "capacity-mbps", None, Unit::Mbps)?;
+    let bin_secs = duration(args, "bin-ms", 100.0, Unit::Millis)?.as_secs_f64();
+    let bytes = read_trace(path)?;
+    let stream_file = Output::of(args, "out")?;
+    let head = format!("serve: replaying {} bins from {path}\n", bytes.len());
+    let runs = [(path.to_string(), serve_alarms(&bytes, capacity, bin_secs))];
+    serve_report(head, &runs, bin_secs, stream_file.as_ref())
+}
+
+/// `pdos serve` — the streaming detection service: simulates a scenario
+/// set and scores every run's bottleneck trace bin by bin through the
+/// online detector bank.
 fn cmd_serve(args: &Args) -> Result<String, ArgError> {
-    let bin = bin_width(args)?;
-    let bin_secs = bin.as_secs_f64();
-    let mut out = String::new();
-
-    let runs: Vec<(String, Vec<Alarm>)> = if let Some(path) = args.get("replay") {
-        let capacity = positive(args, "capacity-mbps", None, Unit::Mbps)?;
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ArgError(format!("cannot read {path}: {e}")))?;
-        let bytes = parse_trace(&text)?;
-        if bytes.is_empty() {
-            return Err(ArgError(format!("{path} contains no samples")));
-        }
-        let _ = writeln!(out, "serve: replaying {} bins from {path}", bytes.len());
-        vec![(path.to_string(), serve_alarms(&bytes, capacity, bin_secs))]
-    } else {
-        let scenario = args.get("scenario").unwrap_or("golden");
-        let jobs: usize = args.num("jobs", 0)?;
-        let specs: Vec<ExperimentSpec> = match scenario {
-            "golden" => pdos_conformance::canonical_specs(),
-            "fig06-smoke" => gain_figure_specs(GainFigure::Fig06, &FigureGrid::smoke()),
-            other => {
-                return Err(ArgError(format!(
-                    "--scenario must be golden or fig06-smoke; got '{other}'"
-                )))
+    let bin = duration(args, "bin-ms", 100.0, Unit::Millis)?;
+    let (scenario, specs) = scenario_set(args, "golden")?;
+    let specs: Vec<ExperimentSpec> = specs.into_iter().map(|s| s.traced(bin).tapped()).collect();
+    let runner = runner_of(args, None)?;
+    let stream_file = Output::of(args, "out")?;
+    let head = format!(
+        "serve: scoring {} live runs from scenario set '{scenario}'\n",
+        specs.len()
+    );
+    let report = runner.run(&specs);
+    let mut runs = Vec::with_capacity(specs.len());
+    for (spec, r) in specs.iter().zip(&report.records) {
+        let trace = match &r.outcome {
+            RunOutcome::Point { trace, .. } | RunOutcome::Benign { trace, .. } => trace,
+            RunOutcome::Infeasible { reason } | RunOutcome::Failed { reason } => {
+                return Err(ArgError(format!("{}: {reason}", spec.id)));
             }
-        }
-        .into_iter()
-        .map(|s| s.traced(bin).tapped())
-        .collect();
-        let _ = writeln!(
-            out,
-            "serve: scoring {} live runs from scenario set '{scenario}'",
-            specs.len()
-        );
-        let report = SweepRunner::new(0)
-            .seed_policy(SeedPolicy::FromScenario)
-            .jobs(jobs)
-            .run(&specs);
-        let mut runs = Vec::with_capacity(specs.len());
-        for (spec, r) in specs.iter().zip(&report.records) {
-            let trace = match &r.outcome {
-                RunOutcome::Point { trace, .. } | RunOutcome::Benign { trace, .. } => trace,
-                RunOutcome::Infeasible { reason } | RunOutcome::Failed { reason } => {
-                    return Err(ArgError(format!("{}: {reason}", spec.id)));
-                }
-            };
-            let capacity = spec.scenario.bottleneck.as_bps();
-            runs.push((spec.id.clone(), serve_alarms(trace, capacity, bin_secs)));
-        }
-        runs
-    };
+        };
+        let capacity = spec.scenario.bottleneck.as_bps();
+        runs.push((
+            spec.id.clone(),
+            serve_alarms(trace, capacity, bin.as_secs_f64()),
+        ));
+    }
+    serve_report(head, &runs, bin.as_secs_f64(), stream_file.as_ref())
+}
 
+/// Appends each alarm and the `pdos-detect/1` alarm stream (to `file` if
+/// given) to `out`. The stream never mentions worker counts or wall-clock,
+/// so it is byte-identical across `--jobs`.
+fn serve_report(
+    mut out: String,
+    runs: &[(String, Vec<Alarm>)],
+    bin_secs: f64,
+    file: Option<&Output>,
+) -> Result<String, ArgError> {
     let mut total = 0usize;
-    for (id, alarms) in &runs {
+    for (id, alarms) in runs {
         for a in alarms {
             let _ = writeln!(
                 out,
@@ -1473,40 +1516,46 @@ fn cmd_serve(args: &Args) -> Result<String, ArgError> {
     }
     let _ = writeln!(out, "serve: {total} alarm(s) across {} run(s)", runs.len());
 
-    let json = alarm_stream_json(&runs, bin_secs);
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, &json).map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
-        let _ = writeln!(out, "alarm stream written to {path}");
-    } else {
-        let _ = writeln!(out, "{json}");
+    let json = alarm_stream_json(runs, bin_secs);
+    match file {
+        Some(file) => {
+            file.write(&json)?;
+            let _ = writeln!(out, "alarm stream written to {}", file.path);
+        }
+        None => {
+            let _ = writeln!(out, "{json}");
+        }
     }
     Ok(out)
 }
 
-/// Dispatches a parsed command line.
+/// Dispatches a parsed command line to the mode it selects, once every
+/// option and flag given is one that mode reads.
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for unknown commands or command failures.
+/// Returns [`ArgError`] for unknown commands, options the mode does not
+/// read, or command failures.
 pub fn run(args: &Args) -> Result<String, ArgError> {
-    if args.flag("help") {
+    if args.flag("help") || matches!(args.command.as_str(), "help" | "--help" | "-h") {
         return Ok(HELP.to_string());
     }
-    match args.command.as_str() {
+    match args.mode()?.name() {
         "solve" => cmd_solve(args),
         "simulate" => cmd_simulate(args),
         "sweep" => cmd_sweep(args),
+        "sweep --fig" => cmd_sweep_figure(args),
+        "sweep --fig roc" => cmd_sweep_roc(args),
         "sync" => cmd_sync(args),
         "detect" => cmd_detect(args),
+        "serve --replay" => cmd_serve_replay(args),
         "serve" => cmd_serve(args),
         "metrics" => cmd_metrics(args),
         "check" => cmd_check(args),
-        "bench" => cmd_bench(args),
+        "fuzz --replay" => cmd_fuzz_replay(args),
         "fuzz" => cmd_fuzz(args),
-        "help" | "--help" | "-h" => Ok(HELP.to_string()),
-        other => Err(ArgError(format!(
-            "unknown command '{other}'; try `pdos help`"
-        ))),
+        "bench" => cmd_bench(args),
+        other => unreachable!("mode `{other}` of the table has no handler"),
     }
 }
 
@@ -1580,6 +1629,27 @@ mod tests {
         assert_eq!(ok, vec![100, 200]);
         let err = parse_trace("100\nxyz\n").unwrap_err();
         assert!(err.to_string().contains("line 2"));
+    }
+
+    /// Characters that make up trace lines, digits and `#` comments
+    /// among them, for random traces.
+    const TRACE_CHARS: [char; 16] = [
+        '0', '1', '7', '9', ' ', '\t', '\n', '\n', '\r', '#', '-', '+', '.', 'x', 'é', '\0',
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_trace_never_panics(picks in proptest::collection::vec(0..TRACE_CHARS.len(), 0..120)) {
+            let text: String = picks.iter().map(|&i| TRACE_CHARS[i]).collect();
+            let _ = parse_trace(&text);
+        }
+
+        #[test]
+        fn traces_round_trip(bins in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..40)) {
+            proptest::prop_assert_eq!(parse_trace(&format_trace(&bins)).unwrap(), bins);
+        }
     }
 
     #[test]
@@ -1683,12 +1753,98 @@ mod tests {
                 format!("serve --replay {trace} --capacity-mbps 1e308"),
                 "--capacity-mbps",
             ),
+            (
+                "simulate --flows 2 --window-s 1e-300".to_string(),
+                "--window-s",
+            ),
+            (
+                "sweep --flows 2 --points 2 --window-s 1e-300".to_string(),
+                "--window-s",
+            ),
+            ("sync --flows 2 --window-s 0".to_string(), "--window-s"),
         ] {
             let err = run(&parse(&cmd)).expect_err(&cmd);
             assert!(err.to_string().contains(key), "{cmd}: {err}");
         }
         assert!(!unwritten.exists(), "a rejected simulate wrote its trace");
         let _ = std::fs::remove_file(trace);
+    }
+
+    /// An unwritable `--out` fails before the work: the fault drill below
+    /// would write a repro file for each violation before the report, so
+    /// an empty repro directory shows the campaign never ran.
+    #[test]
+    fn unwritable_output_fails_before_the_work() {
+        let dir = std::env::temp_dir().join("pdos-cli-test-unwritable-out");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cmd = format!(
+            "fuzz --scenarios 2 --master-seed {} --jobs 1 --fault link-accounting \
+             --repro-dir {} --out /nonexistent/f.json",
+            fuzz_drill_seed(2),
+            dir.display()
+        );
+        let err = run(&parse(&cmd)).unwrap_err();
+        assert!(
+            err.to_string().contains("cannot write /nonexistent/f.json"),
+            "{err}"
+        );
+        assert!(!dir.exists(), "the campaign ran before --out was checked");
+        for cmd in [
+            "sweep --fig fig06 --jobs 1 --out /nonexistent/r.json",
+            "simulate --flows 2 --window-s 1 --trace-out /nonexistent/t.txt",
+            "metrics --out /nonexistent/m.json",
+            "serve --out /nonexistent/a.json",
+            "bench --out /nonexistent/b.json",
+        ] {
+            let err = run(&parse(cmd)).unwrap_err();
+            assert!(
+                err.to_string().contains("cannot write /nonexistent/"),
+                "{cmd}: {err}"
+            );
+        }
+    }
+
+    /// `--bin-ms` only sizes the `--trace-out` bins, so it is an error
+    /// without them rather than a silently ignored option.
+    #[test]
+    fn simulate_bin_width_needs_a_trace() {
+        let err = run(&parse("simulate --flows 2 --window-s 1 --bin-ms 50")).unwrap_err();
+        assert!(err.to_string().contains("--trace-out"), "{err}");
+    }
+
+    /// Every name each command's HELP block mentions is one its modes
+    /// read, and every name they read is mentioned.
+    #[test]
+    fn help_names_exactly_the_options_each_command_reads() {
+        use crate::args::{Mode, MODES};
+        use std::collections::BTreeSet;
+        let mut blocks: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        let commands = HELP.lines().skip_while(|l| *l != "COMMANDS").skip(1);
+        for line in commands.take_while(|l| !l.is_empty()) {
+            if let Some(head) = line.strip_prefix("  ").filter(|l| !l.starts_with(' ')) {
+                let command = head.split(' ').next().expect("a command name");
+                blocks.push((command, BTreeSet::new()));
+            }
+            let named = line
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter_map(|word| word.strip_prefix("--"));
+            blocks.last_mut().expect("a block").1.extend(named);
+        }
+        let command_of = |mode: &Mode| mode.name().split(' ').next().unwrap_or_default();
+        for mode in MODES {
+            let block = blocks
+                .iter()
+                .any(|(command, _)| *command == command_of(mode));
+            assert!(block, "HELP has no block for {}", mode.name());
+        }
+        for (command, named) in blocks {
+            let read: BTreeSet<&str> = MODES
+                .iter()
+                .filter(|mode| command_of(mode) == command)
+                .flat_map(|mode| mode.reads())
+                .collect();
+            assert_eq!(named, read, "HELP block of {command}");
+        }
     }
 
     // The simulate/sweep/sync paths run real (short) simulations; keep one
@@ -2005,6 +2161,15 @@ mod tests {
         ))
         .unwrap();
         assert!(out.contains("attack period"), "{out}");
+    }
+
+    #[test]
+    fn sync_reads_fractional_extent_and_window() {
+        let out = run(&parse(
+            "sync --flows 2 --textent-ms 2.5 --window-s 2.5 --period-s 1",
+        ))
+        .unwrap();
+        assert!(out.contains("pinnacles in 2.5 s"), "{out}");
     }
 
     #[test]
